@@ -5,11 +5,8 @@
 //
 // Two families:
 //   - BM_HandleManyWorkers/W: a 256-node kickstart pulse fanned across a
-//     W-worker pool. `sim_req_per_s` is the requests/sec of the simulated
-//     serving cost model (ceil(N/W) rounds of kSimulatedRequestSeconds) —
-//     deterministic and hardware-independent, this is the EXPERIMENTS.md
-//     scaling number. `real_req_per_s` is the measured throughput on this
-//     machine (meaningful only with ≥ W cores).
+//     W-worker pool. `real_req_per_s` is the measured throughput
+//     (meaningful only with ≥ W cores) — the EXPERIMENTS.md scaling number.
 //   - BM_MixedReadWrite/W: insert-ethers appending nodes (exclusive lock)
 //     racing a kickstart read pulse (pinned MVCC read views) — the Section
 //     6.4 "integrate while serving" scenario.
@@ -76,19 +73,14 @@ void BM_HandleManyWorkers(benchmark::State& state) {
   // Fresh engine counters per phase: each W measures only its own pulse,
   // not the residue of earlier arguments sharing the static fixture.
   f.db.reset_stats();
-  double sim_seconds = 0.0;
   std::size_t batches = 0;
   for (auto _ : state) {
     const auto report = f.server->handle_many(pool, f.ips);
     benchmark::DoNotOptimize(report.results.data());
     if (report.failed != 0) state.SkipWithError("request failed");
-    sim_seconds += report.simulated_seconds;
     ++batches;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(batches * kNodes));
-  // Requests/sec under the simulated serving model — the scaling metric.
-  state.counters["sim_req_per_s"] =
-      static_cast<double>(batches * kNodes) / sim_seconds;
   state.counters["real_req_per_s"] = benchmark::Counter(
       static_cast<double>(batches * kNodes), benchmark::Counter::kIsRate);
   state.counters["read_views"] = static_cast<double>(f.db.read_views_opened());

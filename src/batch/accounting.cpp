@@ -8,27 +8,18 @@
 
 namespace rocks::batch {
 
-namespace {
+using sqldb::sql_real;
+using sqldb::sql_text;
 
-std::string sql_text(std::string_view text) {
-  std::string out = "'";
-  for (char c : text) {
-    out += c;
-    if (c == '\'') out += c;  // doubled-quote escape
+std::string_view job_state_name(JobState state) {
+  switch (state) {
+    case JobState::kQueued: return "Q";
+    case JobState::kRunning: return "R";
+    case JobState::kComplete: return "C";
+    case JobState::kCancelled: return "X";
   }
-  out += '\'';
-  return out;
+  return "?";
 }
-
-// Round-trippable REAL literal: recovered timestamps must compare equal to
-// the ones the shadow replay reconstructs.
-std::string sql_real(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 void Accounting::ensure_schema(sqldb::Database& db) {
   if (db.has_table("sched_accounting")) return;

@@ -5,23 +5,18 @@
 // workload management system (starting and monitoring jobs) and Maui is
 // used for its rich scheduling functionality" (paper Section 4.1).
 //
-// Two job kinds matter to the reproduction: ordinary parallel user jobs,
-// and the Section 5 "reinstall cluster" job that upgrades production nodes
-// between user jobs without disturbing anything running.
+// A job is an ordinary parallel user job. The Section 5 "reinstall cluster"
+// upgrade is not a job here: it is a node lifecycle request
+// (Scheduler::request_reinstall_all) that drains busy nodes instead of
+// disturbing anything running.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace rocks::batch {
 
 using JobId = std::uint64_t;
-
-enum class JobKind {
-  kUser,       // occupies its nodes for walltime seconds
-  kReinstall,  // shoots each assigned node; completes when all are back
-};
 
 enum class JobState {
   kQueued,
@@ -34,28 +29,17 @@ enum class JobState {
 
 struct JobSpec {
   std::string name;
-  JobKind kind = JobKind::kUser;
-  /// How many nodes the job needs (reinstall jobs: 0 = every compute node).
+  /// How many nodes the job needs.
   std::size_t nodes = 1;
-  /// User jobs: execution time once started.
+  /// Execution time once started.
   double walltime_seconds = 60.0;
-  /// Graceful degradation floor (Scheduler only): a job whose head-of-queue
-  /// wait exceeds the shrink threshold may start on fewer nodes, down to
-  /// this many, instead of blocking the queue. 0 = rigid (min == nodes).
+  /// Graceful degradation floor: a job whose head-of-queue wait exceeds the
+  /// shrink threshold may start on fewer nodes, down to this many, instead
+  /// of blocking the queue. 0 = rigid (min == nodes).
   std::size_t min_nodes = 0;
-  /// Requeue budget (Scheduler only): how many times the job may be
-  /// requeued after losing a node before it ends kCancelled.
+  /// Requeue budget: how many times the job may be requeued after losing a
+  /// node before it ends kCancelled.
   int max_retries = 3;
-};
-
-struct JobRecord {
-  JobId id = 0;
-  JobSpec spec;
-  JobState state = JobState::kQueued;
-  double submitted_at = 0.0;
-  double started_at = -1.0;
-  double completed_at = -1.0;
-  std::vector<std::string> assigned_nodes;
 };
 
 }  // namespace rocks::batch

@@ -1,7 +1,6 @@
 #include "batch/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <unordered_set>
 
@@ -15,27 +14,11 @@
 
 namespace rocks::batch {
 
+using sqldb::sql_real;
+using sqldb::sql_text;
 using strings::cat;
 
 namespace {
-
-std::string sql_text(std::string_view text) {
-  std::string out = "'";
-  for (char c : text) {
-    out += c;
-    if (c == '\'') out += c;  // doubled-quote escape
-  }
-  out += '\'';
-  return out;
-}
-
-// Round-trippable REAL literal: a recovered queue must replay the same
-// backoff/deadline decisions the pre-crash scheduler made.
-std::string sql_real(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 constexpr double kEpsilon = 1e-9;  // shadow-window comparisons
 
@@ -260,9 +243,6 @@ JobId Scheduler::submit_batch(const std::vector<JobSpec>& specs) {
   std::vector<const ActiveJob*> batch;
   batch.reserve(specs.size());
   for (const JobSpec& spec : specs) {
-    require_state(spec.kind == JobKind::kUser,
-                  "Scheduler: reinstalls are node lifecycle requests "
-                  "(request_reinstall), not jobs");
     ActiveJob job;
     job.id = next_id_++;
     job.name = spec.name;
@@ -776,7 +756,7 @@ void Scheduler::drain(double max_seconds) {
       std::lock_guard lock(mutex_);
       // Simulator idle: no completion, wake, rejoin, or retry is pending,
       // so every remaining queued job is unschedulable — cancel it into the
-      // accounting table instead of throwing (the PbsServer failure mode).
+      // accounting table instead of throwing.
       std::vector<JobId> stuck(queue_.begin(), queue_.end());
       for (JobId id : stuck) {
         const auto it = jobs_.find(id);

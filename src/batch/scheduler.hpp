@@ -1,13 +1,11 @@
 // The fault-tolerant batch scheduler (DESIGN.md §16).
 //
-// PbsServer (pbs.{hpp,cpp}) proved the paper's Section 4.1 workflow — FIFO
-// + backfill over live compute nodes, reinstall jobs draining one node at a
-// time — but it is a toy: every job record lives in process memory, so a
-// frontend crash loses the queue, and a node dying mid-job strands drain()
-// ("jobs outstanding but no pending events"). The CERN and BNL large-farm
+// The repository's one batch system: the paper's PBS + Maui pair (Section
+// 4.1) and its Section 5 rolling upgrade, "a 'reinstall cluster' job" that
+// does not disturb running applications. The CERN and BNL large-farm
 // reports (PAPERS.md) both say the hard part of operating 1000+ nodes is
-// keeping the batch system correct *through* node churn. This class is the
-// production-shaped replacement:
+// keeping the batch system correct *through* node churn, so the queue is
+// durable and the node lifecycle explicit:
 //
 //   Durability. Every job and exceptional-node state transition is a SQL
 //   statement against the frontend Database, so the queue rides the WAL,
@@ -221,10 +219,9 @@ class Scheduler {
   /// Runs the simulator until every submitted job reaches the accounting
   /// table. Jobs that can never start (every node permanently gone, no
   /// event pending that could change that) are cancelled "unschedulable"
-  /// instead of hanging — the PbsServer::drain StateError, retired. Past
-  /// `max_seconds` of simulated time, still-queued jobs are likewise
-  /// cancelled (an attached cluster's recurring events would otherwise keep
-  /// the simulator alive forever).
+  /// instead of hanging. Past `max_seconds` of simulated time, still-queued
+  /// jobs are likewise cancelled (an attached cluster's recurring events
+  /// would otherwise keep the simulator alive forever).
   void drain(double max_seconds = 30.0 * 86400.0);
 
   // --- observability ---------------------------------------------------------

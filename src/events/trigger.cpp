@@ -1,12 +1,14 @@
 #include "events/trigger.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace rocks::events {
+
+using sqldb::sql_real;
+using sqldb::sql_text;
 
 namespace {
 
@@ -14,24 +16,6 @@ namespace {
 // this channel through the bus bridge; the engine must never match those or
 // every firing would seed the next.
 constexpr std::string_view kTableChannel = "triggers";
-
-std::string sql_text(std::string_view text) {
-  std::string out = "'";
-  for (char c : text) {
-    out += c;
-    if (c == '\'') out += c;  // doubled-quote escape
-  }
-  out += '\'';
-  return out;
-}
-
-// Round-trippable REAL literal: rate-limit decisions made before a crash
-// must replay identically from the recovered row.
-std::string sql_real(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;

@@ -5,6 +5,8 @@
 
 namespace rocks::kickstart {
 
+using sqldb::sql_text;
+
 void ensure_cluster_schema(sqldb::Database& db) {
   if (db.has_table("nodes")) return;
   db.execute(
@@ -47,9 +49,9 @@ void insert_node_row(sqldb::Database& db, std::string_view mac, std::string_view
                      int membership, int rack, int rank, std::string_view ip,
                      std::string_view arch, std::string_view comment) {
   db.execute(strings::cat(
-      "INSERT INTO nodes (mac, name, membership, rack, rank, ip, arch, comment) VALUES ('",
-      mac, "', '", name, "', ", membership, ", ", rack, ", ", rank, ", '", ip, "', '", arch,
-      "', '", comment, "')"));
+      "INSERT INTO nodes (mac, name, membership, rack, rank, ip, arch, comment) VALUES (",
+      sql_text(mac), ", ", sql_text(name), ", ", membership, ", ", rack, ", ", rank, ", ",
+      sql_text(ip), ", ", sql_text(arch), ", ", sql_text(comment), ")"));
 }
 
 KickstartServer::KickstartServer(sqldb::Database& db, const NodeFileSet& files,
@@ -129,8 +131,6 @@ KickstartServer::BatchReport KickstartServer::handle_many(
   });
   report.served = served.load();
   report.failed = requesters.size() - report.served;
-  report.simulated_seconds =
-      support::parallel_wall_seconds(requesters.size(), pool.size(), kSimulatedRequestSeconds);
   return report;
 }
 

@@ -30,7 +30,8 @@ namespace rocks::kickstart {
 void ensure_cluster_schema(sqldb::Database& db);
 
 /// Convenience: inserts one row into nodes (mac/name/membership/rack/rank/
-/// ip/arch/comment), returning nothing; reads happen through SQL.
+/// ip/arch/comment), returning nothing; reads happen through SQL. Text
+/// fields are quoted with sqldb::sql_text, so they read back verbatim.
 void insert_node_row(sqldb::Database& db, std::string_view mac, std::string_view name,
                      int membership, int rack, int rank, std::string_view ip,
                      std::string_view arch = "i386", std::string_view comment = "");
@@ -64,20 +65,10 @@ class KickstartServer {
     std::vector<std::string> errors;   // per-request error, "" when served
     std::size_t served = 0;
     std::size_t failed = 0;
-    /// Wall-clock of the batch under the simulated serving cost model:
-    /// ceil(N / workers) rounds of kSimulatedRequestSeconds each (requests
-    /// are uniform — every node differs only in hostname/IP).
-    double simulated_seconds = 0.0;
   };
 
-  /// Per-request CGI service time charged by the simulated cost model,
-  /// calibrated to PR 2's measured hot path (resolve 8.8 µs + generate
-  /// 18 µs, rounded up for render and HTTP framing).
-  static constexpr double kSimulatedRequestSeconds = 30e-6;
-
   /// Fans the batch across `pool`. Requests run genuinely concurrently
-  /// (shared SQL locks, striped profile cache); the report's
-  /// simulated_seconds charges ceil(N/pool.size()) serving rounds.
+  /// (lock-free MVCC reads, striped profile cache).
   [[nodiscard]] BatchReport handle_many(support::ThreadPool& pool,
                                         const std::vector<Ipv4>& requesters);
 

@@ -1549,9 +1549,7 @@ void Database::reset_stats() {
   plans_index_join_.store(0, std::memory_order_relaxed);
   plans_hash_join_.store(0, std::memory_order_relaxed);
   plans_scan_.store(0, std::memory_order_relaxed);
-  shared_acquisitions_.store(0, std::memory_order_relaxed);
   exclusive_acquisitions_.store(0, std::memory_order_relaxed);
-  shared_wait_ns_.store(0, std::memory_order_relaxed);
   exclusive_wait_ns_.store(0, std::memory_order_relaxed);
   read_views_opened_.store(0, std::memory_order_relaxed);
 }

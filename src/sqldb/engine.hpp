@@ -335,17 +335,10 @@ class Database {
 
   // Lock-contention observability (DESIGN.md §9/§13): writer-lock
   // acquisitions and cumulative wait (nanoseconds). Under MVCC the read
-  // path takes no lock at all — shared_lock_acquisitions() stays 0 and is
-  // kept for API continuity; read_views_opened() counts the pinned views
-  // that replaced it.
-  [[nodiscard]] std::uint64_t shared_lock_acquisitions() const {
-    return shared_acquisitions_.load(std::memory_order_relaxed);
-  }
+  // path takes no lock at all; read_views_opened() counts the pinned views
+  // it opens instead.
   [[nodiscard]] std::uint64_t exclusive_lock_acquisitions() const {
     return exclusive_acquisitions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t shared_lock_wait_ns() const {
-    return shared_wait_ns_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t exclusive_lock_wait_ns() const {
     return exclusive_wait_ns_.load(std::memory_order_relaxed);
@@ -480,9 +473,7 @@ class Database {
   // two checkpoints from interleaving across that window.
   mutable std::mutex table_lock_;
   mutable std::mutex snapshot_mutex_;
-  mutable std::atomic<std::uint64_t> shared_acquisitions_{0};  // always 0 under MVCC
   mutable std::atomic<std::uint64_t> exclusive_acquisitions_{0};
-  mutable std::atomic<std::uint64_t> shared_wait_ns_{0};
   mutable std::atomic<std::uint64_t> exclusive_wait_ns_{0};
   mutable std::atomic<std::uint64_t> read_views_opened_{0};
 

@@ -1,6 +1,7 @@
 #include "sqldb/value.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <string_view>
 
@@ -93,6 +94,22 @@ int Value::compare(const Value& other) const {
   return as_text().compare(other.as_text()) < 0   ? -1
          : as_text().compare(other.as_text()) > 0 ? 1
                                                   : 0;
+}
+
+std::string sql_text(std::string_view text) {
+  std::string out = "'";
+  for (char c : text) {
+    out += c;
+    if (c == '\'') out += c;  // doubled-quote escape
+  }
+  out += '\'';
+  return out;
+}
+
+std::string sql_real(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
 }
 
 }  // namespace rocks::sqldb

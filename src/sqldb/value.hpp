@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace rocks::sqldb {
@@ -64,5 +65,14 @@ struct ValueHash {
 struct ValueEqual {
   bool operator()(const Value& a, const Value& b) const { return a.compare(b) == 0; }
 };
+
+/// SQL TEXT literal for splicing into a statement: single-quoted, with each
+/// embedded quote doubled ("it's" -> 'it''s'), so the lexer hands back the
+/// original text verbatim.
+[[nodiscard]] std::string sql_text(std::string_view text);
+
+/// Round-trippable SQL REAL literal (%.17g): a value read back from a
+/// recovered row compares equal to the one that was written.
+[[nodiscard]] std::string sql_real(double value);
 
 }  // namespace rocks::sqldb

@@ -50,12 +50,14 @@ void ThreadPool::worker_loop() {
     wait_ns_.fetch_add(
         std::chrono::duration_cast<std::chrono::nanoseconds>(started - task.enqueued).count(),
         std::memory_order_relaxed);
+    // Counted before work() makes the task's future ready: the count is
+    // sequenced before the result is published, so get() implies it.
+    tasks_run_.fetch_add(1, std::memory_order_relaxed);
     task.work();  // packaged_task: exceptions land in the future, never here
     run_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - started)
                           .count(),
                       std::memory_order_relaxed);
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

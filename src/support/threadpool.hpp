@@ -68,6 +68,8 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // --- stats ---------------------------------------------------------------
+  /// Tasks a worker has picked up. Counted as each task starts, so a caller
+  /// whose future is ready always sees its own task included.
   [[nodiscard]] std::uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
   }
@@ -106,7 +108,7 @@ class ThreadPool {
   std::atomic<std::uint64_t> run_ns_{0};
 };
 
-/// Simulated-wall-clock helper shared by the serving cost models: the time
+/// Simulated-wall-clock helper for rocks-dist's build-time model: the time
 /// `items` uniform tasks of `seconds_per_item` take on `workers` parallel
 /// lanes — ceil(items/workers) rounds of one item each. workers == 0 is
 /// treated as 1.

@@ -1,12 +1,17 @@
-// Tests for the batch substrate: PBS/Maui scheduling, the Section 5
-// "reinstall cluster" job, and REXEC remote execution.
+// Tests for the batch substrate: the scheduler attached to a live cluster
+// (the paper's PBS + Maui, Section 4.1), the Section 5 "reinstall cluster"
+// rolling upgrade, and REXEC remote execution.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "batch/accounting.hpp"
 #include "batch/mpirun.hpp"
-#include "batch/pbs.hpp"
 #include "batch/rexec.hpp"
+#include "batch/scheduler.hpp"
 #include "support/error.hpp"
 
 namespace rocks::batch {
@@ -20,99 +25,116 @@ class BatchTest : public ::testing::Test {
     cluster_ = std::make_unique<cluster::Cluster>(std::move(config));
     for (int i = 0; i < 4; ++i) cluster_->add_node();
     cluster_->integrate_all();
-    pbs_ = std::make_unique<PbsServer>(*cluster_);
+  }
+
+  /// The batch system, attached to the cluster on first use.
+  Scheduler& sched() {
+    if (!sched_) {
+      sched_ = std::make_unique<Scheduler>(cluster_->frontend().db(), cluster_->sim());
+      sched_->attach(*cluster_);
+      sched_->resume();
+    }
+    return *sched_;
+  }
+
+  /// The job's terminal ledger row (throws if it has none).
+  AccountingRecord record(JobId id) { return Accounting::lookup(sched().db(), id).value(); }
+
+  /// Runs the scheduling cycle that submit() queued.
+  void settle() { cluster_->sim().run_until(cluster_->sim().now() + 1.0); }
+
+  /// Steps the simulator until job `id` leaves the queue.
+  void run_until_started(JobId id) {
+    netsim::Simulator& sim = cluster_->sim();
+    while (sched().job(id) && sched().job(id)->state == JobState::kQueued && sim.step()) {
+    }
+  }
+
+  /// Steps the simulator until every compute node has rejoined from the
+  /// reinstall request_reinstall_all() started; returns that time.
+  double run_until_reinstalled() {
+    netsim::Simulator& sim = cluster_->sim();
+    while (sched().stats().reinstalls_finished < sched().registered_nodes() && sim.step()) {
+    }
+    return sim.now();
   }
 
   std::unique_ptr<cluster::Cluster> cluster_;
-  std::unique_ptr<PbsServer> pbs_;
+  std::unique_ptr<Scheduler> sched_;
 };
 
 TEST_F(BatchTest, UserJobRunsForWalltime) {
-  const JobId id = pbs_->submit({"mdrun", JobKind::kUser, 2, 300.0});
-  pbs_->schedule();
-  EXPECT_EQ(pbs_->job(id).state, JobState::kRunning);
-  EXPECT_EQ(pbs_->job(id).assigned_nodes.size(), 2u);
+  const JobId id = sched().submit({"mdrun", 2, 300.0});
+  settle();
+  ASSERT_EQ(sched().job(id)->state, JobState::kRunning);
+  const std::vector<std::string> hosts = sched().job(id)->assigned;
+  ASSERT_EQ(hosts.size(), 2u);
   // The job's processes are visible on the nodes.
-  EXPECT_EQ(cluster_->node(pbs_->job(id).assigned_nodes[0])->process_count(), 1u);
-  pbs_->drain();
-  EXPECT_EQ(pbs_->job(id).state, JobState::kComplete);
-  EXPECT_NEAR(pbs_->job(id).completed_at - pbs_->job(id).started_at, 300.0, 0.01);
-  EXPECT_EQ(cluster_->node("compute-0-0")->process_count(), 0u);
+  EXPECT_EQ(cluster_->node(hosts[0])->process_count(), 1u);
+  sched().drain();
+  EXPECT_EQ(record(id).state, JobState::kComplete);
+  EXPECT_NEAR(record(id).ended - record(id).started, 300.0, 0.01);
+  for (const std::string& host : hosts) EXPECT_EQ(cluster_->node(host)->process_count(), 0u);
 }
 
 TEST_F(BatchTest, JobsQueueWhenClusterFull) {
-  const JobId big = pbs_->submit({"big", JobKind::kUser, 4, 100.0});
-  const JobId next = pbs_->submit({"next", JobKind::kUser, 4, 100.0});
-  pbs_->schedule();
-  EXPECT_EQ(pbs_->job(big).state, JobState::kRunning);
-  EXPECT_EQ(pbs_->job(next).state, JobState::kQueued);
-  pbs_->drain();
-  EXPECT_EQ(pbs_->job(next).state, JobState::kComplete);
+  const JobId big = sched().submit({"big", 4, 100.0});
+  const JobId next = sched().submit({"next", 4, 100.0});
+  settle();
+  EXPECT_EQ(sched().job(big)->state, JobState::kRunning);
+  EXPECT_EQ(sched().job(next)->state, JobState::kQueued);
+  sched().drain();
+  EXPECT_EQ(record(next).state, JobState::kComplete);
   // FIFO: next started when big finished.
-  EXPECT_NEAR(pbs_->job(next).started_at, pbs_->job(big).completed_at, 0.01);
-}
-
-TEST_F(BatchTest, BackfillLetsSmallJobsJumpAhead) {
-  pbs_->submit({"wide", JobKind::kUser, 3, 500.0});
-  const JobId blocked = pbs_->submit({"wide2", JobKind::kUser, 3, 100.0});
-  const JobId small = pbs_->submit({"small", JobKind::kUser, 1, 50.0});
-  pbs_->schedule();
-  // wide runs on 3 of 4 nodes; wide2 cannot start; small backfills the
-  // remaining node.
-  EXPECT_EQ(pbs_->job(small).state, JobState::kRunning);
-  EXPECT_EQ(pbs_->job(blocked).state, JobState::kQueued);
-  pbs_->drain();
-}
-
-TEST_F(BatchTest, CancelQueuedJob) {
-  pbs_->submit({"hog", JobKind::kUser, 4, 100.0});
-  const JobId waiting = pbs_->submit({"waiting", JobKind::kUser, 1, 10.0});
-  pbs_->schedule();
-  EXPECT_TRUE(pbs_->cancel(waiting));
-  EXPECT_FALSE(pbs_->cancel(waiting));  // no longer queued
-  pbs_->drain();
-  EXPECT_EQ(pbs_->job(waiting).state, JobState::kCancelled);
-  EXPECT_LT(pbs_->job(waiting).started_at, 0.0);  // never ran
+  EXPECT_NEAR(record(next).started, record(big).ended, 0.01);
 }
 
 TEST_F(BatchTest, ReinstallClusterJobTouchesEveryComputeNode) {
-  const JobId id = pbs_->submit({"reinstall-cluster", JobKind::kReinstall, 0, 0.0});
-  pbs_->drain();
-  EXPECT_EQ(pbs_->job(id).state, JobState::kComplete);
-  for (auto* node : cluster_->nodes()) EXPECT_EQ(node->install_count(), 2);
+  sched().request_reinstall_all();
+  run_until_reinstalled();
+  for (auto* node : cluster_->nodes()) EXPECT_EQ(node->install_count(), 2) << node->hostname();
   EXPECT_TRUE(cluster_->consistent());
 }
 
 TEST_F(BatchTest, ReinstallWaitsForRunningJobs) {
   // Section 5: the upgrade "does not disturb any running applications".
-  const JobId user = pbs_->submit({"simulation", JobKind::kUser, 2, 400.0});
-  const JobId reinstall = pbs_->submit({"reinstall-cluster", JobKind::kReinstall, 0, 0.0});
-  pbs_->drain();
+  const JobId user = sched().submit({"simulation", 2, 400.0});
+  settle();
+  ASSERT_EQ(sched().job(user)->state, JobState::kRunning);
+  sched().request_reinstall_all();
+  const double upgraded_at = run_until_reinstalled();
 
   // The user job ran its full walltime, uninterrupted.
-  EXPECT_NEAR(pbs_->job(user).completed_at - pbs_->job(user).started_at, 400.0, 0.01);
-  // The reinstall completed only after the user job's nodes became free.
-  EXPECT_GT(pbs_->job(reinstall).completed_at, pbs_->job(user).completed_at);
-  for (auto* node : cluster_->nodes()) EXPECT_EQ(node->install_count(), 2);
+  const AccountingRecord done = record(user);
+  EXPECT_EQ(done.state, JobState::kComplete);
+  EXPECT_DOUBLE_EQ(done.ended - done.started, 400.0);
+  EXPECT_EQ(done.retries, 0);
+  // The upgrade completed only after the user job's nodes became free.
+  EXPECT_GT(upgraded_at, done.ended);
+  for (auto* node : cluster_->nodes()) EXPECT_EQ(node->install_count(), 2) << node->hostname();
 }
 
 TEST_F(BatchTest, UserJobsResumeOnReinstalledNodes) {
-  pbs_->submit({"reinstall-cluster", JobKind::kReinstall, 0, 0.0});
-  const JobId after = pbs_->submit({"post-upgrade", JobKind::kUser, 4, 60.0});
-  pbs_->drain();
-  EXPECT_EQ(pbs_->job(after).state, JobState::kComplete);
-  // It ran on freshly reinstalled nodes: started after at least one node's
-  // second install finished.
-  EXPECT_GT(pbs_->job(after).started_at, 600.0);
+  sched().request_reinstall_all();
+  const JobId after = sched().submit({"post-upgrade", 4, 60.0});
+  run_until_started(after);
+  const std::optional<JobView> started = sched().job(after);
+  ASSERT_EQ(started->state, JobState::kRunning);
+  // It started only on nodes whose second install had already finished.
+  for (const std::string& host : started->assigned)
+    EXPECT_EQ(cluster_->node(host)->install_count(), 2) << host;
+  sched().drain();
+  EXPECT_EQ(record(after).state, JobState::kComplete);
+  EXPECT_TRUE(cluster_->consistent());
 }
 
 TEST_F(BatchTest, QstatRendersJobTable) {
-  pbs_->submit({"mdrun", JobKind::kUser, 1, 10.0});
-  pbs_->schedule();
-  const std::string report = pbs_->qstat();
+  const JobId id = sched().submit({"mdrun", 1, 10.0});
+  settle();
+  const std::string report = sched().qstat();
   EXPECT_NE(report.find("mdrun"), std::string::npos);
-  EXPECT_NE(report.find("user"), std::string::npos);
-  EXPECT_THROW((void)pbs_->job(999), LookupError);
+  EXPECT_NE(report.find(sched().job(id)->assigned.at(0)), std::string::npos);
+  EXPECT_FALSE(sched().job(999).has_value());
 }
 
 TEST_F(BatchTest, RexecPropagatesContextAndRedirectsStdout) {

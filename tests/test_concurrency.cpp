@@ -80,7 +80,6 @@ TEST(DatabaseConcurrency, ConcurrentSelectInsertUpdate) {
   // read view instead (6 reader threads × 2 each op, plus the 3
   // verification SELECTs above); the 4 setup statements and 2 writers × 2
   // DML each op ran exclusive.
-  EXPECT_EQ(db.shared_lock_acquisitions(), 0u);
   EXPECT_EQ(db.read_views_opened(), 6u * kOpsPerThread * 2 + 3);
   EXPECT_EQ(db.exclusive_lock_acquisitions(), 2u * kOpsPerThread * 2 + 4);
 }
@@ -476,9 +475,6 @@ TEST(ServerConcurrency, HandleManyServesWholeBatch) {
   // profile (the header uses DHCP, so the IP itself never appears).
   for (std::size_t i = 0; i < kNodes; ++i)
     EXPECT_NE(report.results[i].find(strings::cat("compute-0-", i)), std::string::npos) << i;
-  // Simulated cost model: ceil(129/8) = 17 rounds.
-  EXPECT_DOUBLE_EQ(report.simulated_seconds,
-                   17 * kickstart::KickstartServer::kSimulatedRequestSeconds);
 }
 
 }  // namespace

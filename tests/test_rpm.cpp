@@ -22,6 +22,12 @@ struct VerCase {
   int expected;
 };
 
+// Names each case by its contents; the default byte dump shows the pointers,
+// which change from build to build.
+void PrintTo(const VerCase& c, std::ostream* os) {
+  *os << "'" << c.a << "' vs '" << c.b << "' = " << c.expected;
+}
+
 class RpmVerCmp : public ::testing::TestWithParam<VerCase> {};
 
 TEST_P(RpmVerCmp, MatchesRedHatSemantics) {

@@ -38,7 +38,6 @@ JobSpec user_job(std::string name, std::size_t nodes, double walltime,
                  std::size_t min_nodes = 0, int max_retries = 3) {
   JobSpec spec;
   spec.name = std::move(name);
-  spec.kind = JobKind::kUser;
   spec.nodes = nodes;
   spec.walltime_seconds = walltime;
   spec.min_nodes = min_nodes;
@@ -117,8 +116,8 @@ TEST_F(SchedulerTest, CancelWorksQueuedAndRunning) {
 }
 
 TEST_F(SchedulerTest, UnschedulableJobsCancelIntoAccountingInsteadOfHanging) {
-  // The retired PbsServer failure mode: every node vanishes with work
-  // queued. drain() must terminate with the jobs accounted, not throw.
+  // Every node vanishes with work queued. drain() must terminate with the
+  // jobs accounted, not throw.
   Standalone s(2);
   s.sched->node_down(Standalone::host(0));
   s.sched->node_down(Standalone::host(1));
@@ -128,13 +127,6 @@ TEST_F(SchedulerTest, UnschedulableJobsCancelIntoAccountingInsteadOfHanging) {
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->state, JobState::kCancelled);
   EXPECT_EQ(record->reason, "unschedulable");
-}
-
-TEST_F(SchedulerTest, RejectsReinstallJobSpecs) {
-  Standalone s(1);
-  JobSpec spec = user_job("upgrade", 1, 0.0);
-  spec.kind = JobKind::kReinstall;
-  EXPECT_THROW(s.sched->submit(spec), StateError);
 }
 
 // --- policy ------------------------------------------------------------------

@@ -66,6 +66,12 @@ struct GlobCase {
   bool match;
 };
 
+// Names each case by its contents; the default byte dump shows the pointers,
+// which change from build to build.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << "' " << (c.match ? "matches" : "rejects") << " '" << c.text << "'";
+}
+
 class GlobTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobTest, Matches) {

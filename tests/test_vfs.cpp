@@ -14,6 +14,12 @@ struct NormCase {
   const char* expected;
 };
 
+// Names each case by its contents; the default byte dump shows the pointers,
+// which change from build to build.
+void PrintTo(const NormCase& c, std::ostream* os) {
+  *os << "'" << c.input << "' -> '" << c.expected << "'";
+}
+
 class NormalizeTest : public ::testing::TestWithParam<NormCase> {};
 
 TEST_P(NormalizeTest, Normalizes) {
