@@ -1,33 +1,13 @@
 #include "cluster/ekv.hpp"
 
-#include <algorithm>
-
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
 namespace rocks::cluster {
 
-void EkvConsole::write_line(double now, std::string text) {
-  lines_.push_back({now, std::move(text)});
-  if (lines_.size() > kLineCap) lines_.pop_front();
-  for (const auto& [id, watcher] : watchers_) watcher(lines_.back());
-}
-
 void EkvConsole::send_input(double now, std::string text) {
   ++inputs_;
   write_line(now, "<< " + std::move(text));
-}
-
-std::size_t EkvConsole::attach(Watcher watcher) {
-  const std::size_t id = next_watcher_++;
-  watchers_.emplace_back(id, std::move(watcher));
-  return id;
-}
-
-void EkvConsole::detach(std::size_t id) {
-  watchers_.erase(std::remove_if(watchers_.begin(), watchers_.end(),
-                                 [id](const auto& entry) { return entry.first == id; }),
-                  watchers_.end());
 }
 
 std::string EkvConsole::screen(std::size_t tail) const {
@@ -49,9 +29,8 @@ std::string EkvConsole::screen(std::size_t tail) const {
       "|   Remaining : ", progress_.remaining_packages(), "\t\t",
       fixed(static_cast<double>(progress_.remaining_bytes()) / (1024.0 * 1024.0), 0), "M\n");
   out += strings::cat("+", std::string(64, '-'), "+\n");
-  const std::size_t start = lines_.size() > tail ? lines_.size() - tail : 0;
-  for (std::size_t i = start; i < lines_.size(); ++i)
-    out += strings::cat("[", fixed(lines_[i].time, 1), "s] ", lines_[i].text, "\n");
+  for (const EkvLine& line : lines_.recent({}, tail))
+    out += strings::cat("[", fixed(line.time, 1), "s] ", line.text, "\n");
   return out;
 }
 

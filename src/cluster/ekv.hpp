@@ -5,20 +5,23 @@
 // on a telnet-compatible port" (paper Section 6.3, Figure 7). EkvConsole is
 // that capture channel: the installer writes lines, shoot-node's xterm (or
 // anything else) attaches as a watcher, and screen() renders the Figure 7
-// progress panel.
+// progress panel. The line log and the watchers are one support::ChannelLog
+// stream, so a watcher may attach or detach watchers (itself included)
+// while a line is being delivered.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <vector>
+
+#include "support/channel_log.hpp"
 
 namespace rocks::cluster {
 
 struct EkvLine {
   double time = 0.0;
   std::string text;
+  std::uint64_t seq = 0;  // line number on the console, stamped on write
 };
 
 /// Package-installation progress, mirroring the counters on the Figure 7
@@ -43,7 +46,9 @@ class EkvConsole {
   explicit EkvConsole(std::string node_name) : node_name_(std::move(node_name)) {}
 
   /// Installer-side: emit one status line at simulation time `now`.
-  void write_line(double now, std::string text);
+  void write_line(double now, std::string text) {
+    lines_.publish({}, EkvLine{now, std::move(text)});
+  }
   void set_progress(const EkvProgress& progress) { progress_ = progress; }
 
   /// Viewer-side keystrokes: "we've also inserted code that allows users to
@@ -54,10 +59,9 @@ class EkvConsole {
   [[nodiscard]] std::size_t inputs_received() const { return inputs_; }
 
   /// Viewer-side: attach a watcher (every subsequent line is delivered).
-  std::size_t attach(Watcher watcher);
-  void detach(std::size_t id);
+  std::size_t attach(Watcher watcher) { return lines_.subscribe_all(std::move(watcher)); }
+  void detach(std::size_t id) { lines_.unsubscribe(id); }
 
-  [[nodiscard]] const std::deque<EkvLine>& lines() const { return lines_; }
   [[nodiscard]] const EkvProgress& progress() const { return progress_; }
 
   /// Renders the telnet screen: a Figure 7-style header, the progress
@@ -65,13 +69,11 @@ class EkvConsole {
   [[nodiscard]] std::string screen(std::size_t tail = 8) const;
 
  private:
-  std::string node_name_;
-  std::deque<EkvLine> lines_;
-  EkvProgress progress_;
-  std::vector<std::pair<std::size_t, Watcher>> watchers_;
-  std::size_t next_watcher_ = 1;
-  std::size_t inputs_ = 0;
   static constexpr std::size_t kLineCap = 4096;
+  std::string node_name_;
+  support::ChannelLog<EkvLine> lines_{kLineCap};
+  EkvProgress progress_;
+  std::size_t inputs_ = 0;
 };
 
 }  // namespace rocks::cluster

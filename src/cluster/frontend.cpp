@@ -74,18 +74,6 @@ std::unique_ptr<Frontend> Frontend::recover(netsim::Simulator& sim, netsim::Sysl
   return std::make_unique<Frontend>(sim, syslog, distro, std::move(config));
 }
 
-void Frontend::set_event_bus(events::EventBus* bus) {
-  bus_ = bus;
-  // The service manager's dirty tracking moves onto the spine: identical
-  // semantics (kConfigChange carries every journal notification through the
-  // bridge), one subscription mechanism for the whole system.
-  if (bus_ != nullptr) {
-    services_.attach(*bus_);
-  } else {
-    services_.attach(db_.journal());
-  }
-}
-
 services::ServiceManager::Report Frontend::flush_services() {
   // Durability barrier before anything becomes externally visible: a config
   // file or DHCP binding must never reflect state a crash could forget. A

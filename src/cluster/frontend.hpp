@@ -124,11 +124,10 @@ class Frontend {
     commit_barrier_ = std::move(barrier);
   }
 
-  /// Attaches the frontend to the event spine (DESIGN.md §15): the service
-  /// manager re-subscribes through the bus's kConfigChange channel instead
-  /// of the raw journal, and flush_services() publishes one kServiceFlush
-  /// per restarted service. Null detaches (back to the raw journal).
-  void set_event_bus(events::EventBus* bus);
+  /// Attaches the frontend to the event spine (DESIGN.md §15):
+  /// flush_services() publishes one kServiceFlush per restarted service.
+  /// Null detaches. Service dirty tracking stays on the journal either way.
+  void set_event_bus(events::EventBus* bus) { bus_ = bus; }
 
   /// Flushes the change bus: regenerates the config files whose source
   /// tables changed since the last flush (dirty services only), restarts

@@ -1,7 +1,5 @@
 #include "events/bus.hpp"
 
-#include <algorithm>
-
 #include "sqldb/journal.hpp"
 #include "support/error.hpp"
 
@@ -44,87 +42,15 @@ bool parse_event_type(std::string_view name, EventType& out) {
 }
 
 EventBus::EventBus(Clock clock, std::size_t capacity)
-    : clock_(std::move(clock)), capacity_(std::max<std::size_t>(capacity, 1)) {}
+    : clock_(std::move(clock)), log_(capacity) {}
 
 EventBus::~EventBus() { unbridge_journal(); }
 
 std::uint64_t EventBus::publish(Event event) {
   if (event.time == 0.0 && clock_) event.time = clock_();
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard lock(state_mutex_);
-    Channel& channel = channels_[static_cast<std::size_t>(event.type)];
-    seq = ++channel.seq;
-    event.seq = seq;
-    channel.log.push_back(event);
-    while (channel.log.size() > capacity_) {
-      channel.floor = channel.log.front().seq;
-      channel.log.pop_front();
-    }
-    ++published_;
-  }
-
-  // Copy out the matching callbacks, then invoke with both locks dropped —
-  // a subscriber may publish, subscribe, or re-enter the Database.
-  std::vector<std::shared_ptr<Callback>> callbacks;
-  {
-    std::lock_guard lock(subscriber_mutex_);
-    for (const auto& [id, sub] : subscribers_) {
-      if (sub.type < 0 || sub.type == static_cast<int>(event.type))
-        callbacks.push_back(sub.callback);
-    }
-    notifications_sent_ += callbacks.size();
-  }
-  for (const auto& callback : callbacks) (*callback)(event);
-  return seq;
-}
-
-std::size_t EventBus::subscribe(EventType type, Callback callback) {
-  std::lock_guard lock(subscriber_mutex_);
-  const std::size_t id = next_subscription_++;
-  subscribers_.emplace(id, Subscriber{static_cast<int>(type),
-                                      std::make_shared<Callback>(std::move(callback))});
-  return id;
-}
-
-std::size_t EventBus::subscribe_all(Callback callback) {
-  std::lock_guard lock(subscriber_mutex_);
-  const std::size_t id = next_subscription_++;
-  subscribers_.emplace(id, Subscriber{-1, std::make_shared<Callback>(std::move(callback))});
-  return id;
-}
-
-void EventBus::unsubscribe(std::size_t id) {
-  std::lock_guard lock(subscriber_mutex_);
-  subscribers_.erase(id);
-}
-
-std::uint64_t EventBus::seq(EventType type) const {
-  std::lock_guard lock(state_mutex_);
-  return channels_[static_cast<std::size_t>(type)].seq;
-}
-
-EventDelta EventBus::since(EventType type, std::uint64_t seq) const {
-  std::lock_guard lock(state_mutex_);
-  const Channel& channel = channels_[static_cast<std::size_t>(type)];
-  EventDelta delta;
-  delta.seq = channel.seq;
-  delta.floor = channel.floor;
-  if (seq >= channel.seq) return delta;  // already current
-  if (seq < channel.floor) {
-    delta.truncated = true;  // the log no longer reaches back that far
-    return delta;
-  }
-  for (const Event& event : channel.log)
-    if (event.seq > seq) delta.events.push_back(event);
-  return delta;
-}
-
-std::vector<Event> EventBus::recent(EventType type, std::size_t limit) const {
-  std::lock_guard lock(state_mutex_);
-  const Channel& channel = channels_[static_cast<std::size_t>(type)];
-  const std::size_t n = std::min(limit, channel.log.size());
-  return {channel.log.end() - static_cast<std::ptrdiff_t>(n), channel.log.end()};
+  published_.fetch_add(1, std::memory_order_relaxed);
+  const EventType type = event.type;
+  return log_.publish(type, std::move(event));
 }
 
 void EventBus::bridge_journal(sqldb::ChangeJournal& journal) {
@@ -143,16 +69,6 @@ void EventBus::unbridge_journal() {
   bridged_->unsubscribe(bridge_subscription_);
   bridged_ = nullptr;
   bridge_subscription_ = 0;
-}
-
-std::uint64_t EventBus::published() const {
-  std::lock_guard lock(state_mutex_);
-  return published_;
-}
-
-std::uint64_t EventBus::notifications_sent() const {
-  std::lock_guard lock(subscriber_mutex_);
-  return notifications_sent_;
 }
 
 }  // namespace rocks::events

@@ -1,41 +1,35 @@
 // The cluster-wide event spine (DESIGN.md §15).
 //
-// PR 4's ChangeJournal proved the shape — per-channel monotonic revisions, a
-// bounded retained log with a truncation floor, subscribers notified outside
-// all locks — but only configuration regeneration ever rode it. Meanwhile
-// every other signal in the system grew its own ad-hoc path: the health
-// monitor kept a private last-seen table, recovery swept the cluster for
-// failed installs, replication surfaced quorum loss only as a thrown
-// exception, fault injection counted silently into a stats struct. The CERN
-// and Brookhaven large-cluster reports (PAPERS.md) name exactly this —
-// per-subsystem monitoring that does not compose — as what breaks past a
+// Configuration regeneration rides the ChangeJournal; every other signal
+// in the system rides this bus instead of an ad-hoc path of its own: node
+// state, health, replication epochs and quorum, faults, recovery, batch
+// jobs. The CERN and Brookhaven large-cluster reports (PAPERS.md) name
+// per-subsystem monitoring that does not compose as what breaks past a
 // thousand nodes.
 //
-// EventBus generalizes the journal's (channel, revision, record) model to
-// typed cluster events. A channel is an EventType; a revision is the
-// channel's monotonic sequence number; a record is the full Event. Producers
-// publish; consumers either subscribe (callbacks, for the trigger engine and
-// dirty tracking) or cursor-read with since() (for operator tools), with the
-// same truncation-floor contract the ChangeJournal gives IncrementalReport:
-// a cursor below the floor is told to rescan, never handed a gapped delta.
+// EventBus is a support::ChannelLog of typed events: a channel is an
+// EventType, a seq is the channel's monotonic sequence number, a record is
+// the full Event. Producers publish; consumers either subscribe (callbacks,
+// for the trigger engine and health tracking) or cursor-read with since()
+// (for operator tools), with the journal's truncation-floor contract: a
+// cursor below the floor is told to rescan, never handed a gapped delta.
+// What the bus adds is its own: typed channels, clock stamping, and the
+// journal bridge.
 //
-// Locking mirrors ChangeJournal: two leaf mutexes (channel state,
-// subscriber list), callbacks run on the publishing thread after both are
-// dropped. Publishers may be any committing thread (the journal bridge runs
-// from Database::execute's notify path), so subscribers must either do
+// Callbacks run on the publishing thread after every bus lock is dropped.
+// Publishers may be any committing thread (the journal bridge runs from
+// Database::execute's notify path), so subscribers must either do
 // thread-safe work or serialize internally (TriggerEngine does the latter).
 #pragma once
 
-#include <array>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/channel_log.hpp"
 
 namespace rocks::sqldb {
 class ChangeJournal;
@@ -80,16 +74,6 @@ struct Event {
   std::uint64_t seq = 0;  // per-channel monotonic, assigned by publish()
 };
 
-/// Cursor read result, mirroring sqldb::ChangeDelta: either the exact events
-/// moving the cursor to `seq`, or truncated == true with the floor below
-/// which the retained log no longer reaches.
-struct EventDelta {
-  bool truncated = false;
-  std::uint64_t seq = 0;
-  std::uint64_t floor = 0;
-  std::vector<Event> events;  // empty when truncated
-};
-
 class EventBus {
  public:
   using Callback = std::function<void(const Event&)>;
@@ -115,22 +99,28 @@ class EventBus {
 
   /// Registers a callback for one channel. Safe to call concurrently with
   /// publishes; the callback runs on publishing threads.
-  std::size_t subscribe(EventType type, Callback callback);
+  std::size_t subscribe(EventType type, Callback callback) {
+    return log_.subscribe(type, std::move(callback));
+  }
   /// Registers a wildcard callback receiving every event on the bus.
-  std::size_t subscribe_all(Callback callback);
+  std::size_t subscribe_all(Callback callback) { return log_.subscribe_all(std::move(callback)); }
   /// Does not wait for in-flight callbacks — quiesce publishers before
   /// destroying a subscriber.
-  void unsubscribe(std::size_t id);
+  void unsubscribe(std::size_t id) { log_.unsubscribe(id); }
 
   /// Newest sequence number of a channel; 0 when nothing was published.
-  [[nodiscard]] std::uint64_t seq(EventType type) const;
+  [[nodiscard]] std::uint64_t seq(EventType type) const { return log_.seq(type); }
   /// Every event after `seq`, or truncated == true when the retained log no
   /// longer covers the range (cursor below the floor: rescan, then resume
   /// from the returned seq).
-  [[nodiscard]] EventDelta since(EventType type, std::uint64_t seq) const;
+  [[nodiscard]] support::ChannelDelta<Event> since(EventType type, std::uint64_t seq) const {
+    return log_.since(type, seq);
+  }
   /// The newest <= limit retained events of a channel, oldest first (the
   /// cluster-status --events tail).
-  [[nodiscard]] std::vector<Event> recent(EventType type, std::size_t limit) const;
+  [[nodiscard]] std::vector<Event> recent(EventType type, std::size_t limit) const {
+    return log_.recent(type, limit);
+  }
 
   /// Bridges a ChangeJournal onto the spine: every journal notification
   /// republishes as a kConfigChange event (subject = channel, value =
@@ -141,33 +131,16 @@ class EventBus {
   void unbridge_journal();
 
   // Observability (cluster-status --events, tests).
-  [[nodiscard]] std::uint64_t published() const;
-  [[nodiscard]] std::uint64_t notifications_sent() const;
+  [[nodiscard]] std::uint64_t published() const {
+    return published_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t notifications_sent() const { return log_.notifications_sent(); }
   [[nodiscard]] double now() const { return clock_ ? clock_() : 0.0; }
 
  private:
-  struct Channel {
-    std::uint64_t seq = 0;
-    std::uint64_t floor = 0;  // oldest seq the log can still serve + 1 below
-    std::deque<Event> log;
-  };
-
-  struct Subscriber {
-    int type = -1;  // -1 = wildcard
-    std::shared_ptr<Callback> callback;
-  };
-
   Clock clock_;
-  std::size_t capacity_;
-
-  mutable std::mutex state_mutex_;  // guards channels_, published_
-  std::array<Channel, kEventTypeCount> channels_;
-  std::uint64_t published_ = 0;
-
-  mutable std::mutex subscriber_mutex_;  // guards subscribers_, counters
-  std::map<std::size_t, Subscriber> subscribers_;
-  std::size_t next_subscription_ = 1;
-  std::uint64_t notifications_sent_ = 0;
+  support::ChannelLog<Event, EventType> log_;
+  std::atomic<std::uint64_t> published_{0};
 
   sqldb::ChangeJournal* bridged_ = nullptr;
   std::size_t bridge_subscription_ = 0;

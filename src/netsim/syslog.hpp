@@ -2,13 +2,18 @@
 //
 // insert-ethers works by "monitoring syslog messages for DHCP requests from
 // new hosts" (paper Section 6.4); this bus is what it subscribes to. All
-// simulated services publish here.
+// simulated services publish here. The retained log and the listener list
+// are one support::ChannelLog stream, so a listener may subscribe or
+// unsubscribe reentrantly (insert-ethers installs a node, which emits more
+// syslog traffic).
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
+
+#include "support/channel_log.hpp"
 
 namespace rocks::netsim {
 
@@ -17,6 +22,7 @@ struct SyslogMessage {
   std::string facility;  // "dhcpd", "kickstart", "ekv", ...
   std::string host;      // reporting host
   std::string text;
+  std::uint64_t seq = 0;  // position on the bus, stamped by publish()
 };
 
 class SyslogBus {
@@ -24,25 +30,21 @@ class SyslogBus {
   using Listener = std::function<void(const SyslogMessage&)>;
 
   /// Subscribes a listener; returns an id usable with unsubscribe.
-  std::size_t subscribe(Listener listener);
-  void unsubscribe(std::size_t id);
+  std::size_t subscribe(Listener listener) { return log_.subscribe_all(std::move(listener)); }
+  void unsubscribe(std::size_t id) { log_.unsubscribe(id); }
 
-  void publish(SyslogMessage message);
+  void publish(SyslogMessage message) { log_.publish({}, std::move(message)); }
 
-  /// The retained log (bounded; oldest entries dropped beyond the cap).
-  [[nodiscard]] const std::deque<SyslogMessage>& log() const { return log_; }
-  [[nodiscard]] std::size_t total_published() const { return published_; }
+  /// The newest <= limit retained messages, oldest first (the log is
+  /// bounded; oldest entries are dropped beyond the cap).
+  [[nodiscard]] std::vector<SyslogMessage> recent(std::size_t limit) const {
+    return log_.recent({}, limit);
+  }
+  [[nodiscard]] std::size_t total_published() const { return log_.seq({}); }
 
  private:
-  struct Slot {
-    std::size_t id;
-    Listener listener;
-  };
-  std::vector<Slot> listeners_;
-  std::deque<SyslogMessage> log_;
-  std::size_t next_id_ = 1;
-  std::size_t published_ = 0;
   static constexpr std::size_t kLogCap = 100000;
+  support::ChannelLog<SyslogMessage> log_{kLogCap};
 };
 
 }  // namespace rocks::netsim

@@ -24,7 +24,7 @@ std::string IncrementalReport::render(sqldb::Database& db) {
     rescan_now.push_back(db.revision(table));
 
   bool full = !primed_ || rescan_now != rescan_cursors_;
-  sqldb::ChangeDelta delta;
+  support::ChannelDelta<sqldb::ChangeRecord> delta;
   if (!full) {
     delta = db.since(spec_.table, cursor_);
     full = delta.truncated;
@@ -41,9 +41,9 @@ std::string IncrementalReport::render(sqldb::Database& db) {
     // anything newer it happens to observe is re-applied idempotently on
     // the next render.
     sqldb::ReadView view = db.read_view();
-    for (const sqldb::ChangeRecord& record : delta.changes) apply_one(view, record);
-    if (!delta.changes.empty()) ++delta_applies_;
-    cursor_ = delta.revision;
+    for (const sqldb::ChangeRecord& record : delta.records) apply_one(view, record);
+    if (!delta.records.empty()) ++delta_applies_;
+    cursor_ = delta.seq;
   }
   rescan_cursors_ = std::move(rescan_now);
   primed_ = true;

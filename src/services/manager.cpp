@@ -33,27 +33,11 @@ void ServiceManager::attach(sqldb::ChangeJournal& journal) {
       [this](std::string_view channel, std::uint64_t) { mark_dirty(channel); });
 }
 
-void ServiceManager::attach(events::EventBus& bus) {
-  detach();
-  bus_ = &bus;
-  // The spine's kConfigChange channel carries every journal notification
-  // (subject = channel name), so this is the journal wildcard subscription
-  // routed through one more hop — same atomic-flag-only callback.
-  bus_subscription_ = bus.subscribe(
-      events::EventType::kConfigChange,
-      [this](const events::Event& event) { mark_dirty(event.subject); });
-}
-
 void ServiceManager::detach() {
   if (journal_ != nullptr) {
     journal_->unsubscribe(subscription_);
     journal_ = nullptr;
     subscription_ = 0;
-  }
-  if (bus_ != nullptr) {
-    bus_->unsubscribe(bus_subscription_);
-    bus_ = nullptr;
-    bus_subscription_ = 0;
   }
 }
 

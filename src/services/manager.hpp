@@ -25,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "events/bus.hpp"
 #include "sqldb/engine.hpp"
 #include "vfs/filesystem.hpp"
 
@@ -63,13 +62,8 @@ class ServiceManager {
   /// renders dirty services only. Callbacks only flip per-service atomic
   /// dirty flags, so they are safe from any committing thread.
   void attach(sqldb::ChangeJournal& journal);
-  /// Same dirty tracking, but subscribed through the event spine
-  /// (DESIGN.md §15): kConfigChange events carry every journal notification
-  /// via the bus bridge, so the manager needs no direct journal hookup. The
-  /// bus must outlive the manager (or detach() first).
-  void attach(events::EventBus& bus);
   void detach();
-  [[nodiscard]] bool attached() const { return journal_ != nullptr || bus_ != nullptr; }
+  [[nodiscard]] bool attached() const { return journal_ != nullptr; }
 
   /// Marks every service that depends on `table` dirty (the bus callback's
   /// path; also useful for external inputs without journal channels).
@@ -114,8 +108,6 @@ class ServiceManager {
 
   sqldb::ChangeJournal* journal_ = nullptr;
   std::size_t subscription_ = 0;
-  events::EventBus* bus_ = nullptr;
-  std::size_t bus_subscription_ = 0;
 
   std::uint64_t hash_compares_ = 0;
   std::uint64_t read_fallbacks_ = 0;

@@ -175,14 +175,10 @@ class Database {
     return journal_.revision(table);
   }
   /// Row-level changes after `revision`, or "truncated, rescan required".
-  [[nodiscard]] ChangeDelta since(std::string_view table, std::uint64_t revision) const {
+  [[nodiscard]] support::ChannelDelta<ChangeRecord> since(std::string_view table,
+                                                          std::uint64_t revision) const {
     return journal_.since(table, revision);
   }
-  /// Registers a per-table (or ChangeJournal::kAllChannels) change callback.
-  std::size_t subscribe(std::string_view table, ChangeJournal::Callback callback) {
-    return journal_.subscribe(table, std::move(callback));
-  }
-  void unsubscribe(std::size_t subscription) { journal_.unsubscribe(subscription); }
 
   // --- durable store (DESIGN.md §11) ---------------------------------------
   // Without a store the Database is the in-RAM engine it always was. With

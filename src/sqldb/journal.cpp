@@ -4,44 +4,16 @@
 
 namespace rocks::sqldb {
 
-ChangeJournal::Channel& ChangeJournal::channel_locked(std::string_view name) {
-  const auto it = channels_.find(strings::to_lower(name));
-  if (it != channels_.end()) return it->second;
-  return channels_.emplace(strings::to_lower(name), Channel{}).first->second;
-}
-
-void ChangeJournal::trim_locked(Channel& channel) {
-  while (channel.log.size() > capacity_) {
-    // The popped record's range is no longer reconstructible: cursors at or
-    // before it must rescan.
-    channel.floor = channel.log.front().revision;
-    channel.log.pop_front();
-  }
-}
-
 std::uint64_t ChangeJournal::record(std::string_view channel, ChangeOp op, Value pk) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Channel& state = channel_locked(channel);
-  ++state.revision;
-  if (pk.is_null()) {
-    // No row identity: the delta cannot be applied by key, so poison the
-    // range instead of logging an unusable record.
-    state.floor = state.revision;
-    state.log.clear();
-  } else {
-    state.log.push_back(ChangeRecord{op, std::move(pk), state.revision});
-    trim_locked(state);
-  }
-  ++records_written_;
-  return state.revision;
+  records_written_.fetch_add(1, std::memory_order_relaxed);
+  // No row identity: the delta cannot be applied by key, so poison the
+  // range instead of logging an unusable record.
+  if (pk.is_null()) return log_.poison(strings::to_lower(channel));
+  return log_.append(strings::to_lower(channel), ChangeRecord{op, std::move(pk), 0});
 }
 
 void ChangeJournal::truncate(std::string_view channel) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Channel& state = channel_locked(channel);
-  ++state.revision;
-  state.floor = state.revision;
-  state.log.clear();
+  log_.poison(strings::to_lower(channel));
 }
 
 void ChangeJournal::touch(std::string_view channel) {
@@ -50,100 +22,30 @@ void ChangeJournal::touch(std::string_view channel) {
 }
 
 std::uint64_t ChangeJournal::revision(std::string_view channel) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  const auto it = channels_.find(strings::to_lower(channel));
-  return it == channels_.end() ? 0 : it->second.revision;
+  return log_.seq(strings::to_lower(channel));
 }
 
 std::uint64_t ChangeJournal::floor(std::string_view channel) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  const auto it = channels_.find(strings::to_lower(channel));
-  return it == channels_.end() ? 0 : it->second.floor;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> ChangeJournal::channel_states() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(channels_.size());
-  for (const auto& [name, channel] : channels_) out.emplace_back(name, channel.revision);
-  return out;
+  return log_.floor(strings::to_lower(channel));
 }
 
 void ChangeJournal::restore_channel(std::string_view channel, std::uint64_t revision) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Channel& state = channel_locked(channel);
-  state.revision = revision;
-  state.floor = revision;
-  state.log.clear();
+  log_.restore(strings::to_lower(channel), revision);
 }
 
-ChangeDelta ChangeJournal::since(std::string_view channel, std::uint64_t revision) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  ChangeDelta delta;
-  const auto it = channels_.find(strings::to_lower(channel));
-  if (it == channels_.end()) return delta;  // never written: empty, at revision 0
-  const Channel& state = it->second;
-  delta.revision = state.revision;
-  delta.floor = state.floor;
-  if (revision >= state.revision) return delta;  // caller is current
-  if (revision < state.floor) {
-    delta.truncated = true;  // range fell out of the log (or was touched)
-    return delta;
-  }
-  for (const ChangeRecord& record : state.log)
-    if (record.revision > revision) delta.changes.push_back(record);
-  return delta;
+support::ChannelDelta<ChangeRecord> ChangeJournal::since(std::string_view channel,
+                                                         std::uint64_t revision) const {
+  return log_.since(strings::to_lower(channel), revision);
 }
 
 std::size_t ChangeJournal::subscribe(std::string_view channel, Callback callback) {
-  std::lock_guard<std::mutex> lock(subscriber_mutex_);
-  const std::size_t id = next_subscription_++;
-  subscribers_.emplace(
-      id, Subscriber{strings::to_lower(channel),
-                     std::make_shared<Callback>(std::move(callback))});
-  return id;
-}
-
-void ChangeJournal::unsubscribe(std::size_t id) {
-  std::lock_guard<std::mutex> lock(subscriber_mutex_);
-  subscribers_.erase(id);
+  if (channel == kAllChannels) return log_.subscribe_all(std::move(callback));
+  return log_.subscribe(strings::to_lower(channel), std::move(callback));
 }
 
 void ChangeJournal::notify(std::string_view channel) {
   const std::string lowered = strings::to_lower(channel);
-  const std::uint64_t current = revision(lowered);
-  // Snapshot matching callbacks, then invoke outside both locks so a
-  // callback may re-enter the journal (or the Database that owns it).
-  std::vector<std::shared_ptr<Callback>> matched;
-  {
-    std::lock_guard<std::mutex> lock(subscriber_mutex_);
-    for (const auto& [id, subscriber] : subscribers_)
-      if (subscriber.channel == kAllChannels || subscriber.channel == lowered)
-        matched.push_back(subscriber.callback);
-    notifications_sent_ += matched.size();
-  }
-  for (const auto& callback : matched) (*callback)(lowered, current);
-}
-
-void ChangeJournal::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  capacity_ = capacity;
-  for (auto& [name, channel] : channels_) trim_locked(channel);
-}
-
-std::size_t ChangeJournal::capacity() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return capacity_;
-}
-
-std::uint64_t ChangeJournal::records_written() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return records_written_;
-}
-
-std::uint64_t ChangeJournal::notifications_sent() const {
-  std::lock_guard<std::mutex> lock(subscriber_mutex_);
-  return notifications_sent_;
+  log_.dispatch(lowered, std::string_view(lowered), log_.seq(lowered));
 }
 
 }  // namespace rocks::sqldb

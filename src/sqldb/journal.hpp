@@ -8,12 +8,12 @@
 // cost of a change must track the size of the *change*, not the cluster.
 //
 // The ChangeJournal is the one mechanism every consumer invalidates
-// through. It keeps, per named channel:
-//   - a monotonic revision, bumped once per row-level change (or touch),
-//   - a bounded changelog of (op, primary key, revision) records, so
-//     consumers can turn "something changed" into "exactly these rows
-//     changed" — or learn the log was truncated and a full rescan is due,
-//   - a subscriber list, notified once per committed statement.
+// through. It is a support::ChannelLog of (op, primary key, revision)
+// records: per named channel a monotonic revision, bumped once per
+// row-level change (or touch), and a bounded changelog, so consumers can
+// turn "something changed" into "exactly these rows changed" — or learn
+// the log was truncated and a full rescan is due. Subscribers are notified
+// once per committed statement, not once per record.
 //
 // Channels are case-insensitive names. Table channels ("nodes",
 // "memberships", ...) are fed by the Database's INSERT/UPDATE/DELETE paths
@@ -22,58 +22,40 @@
 // carries no row identity, so it always reads back as "truncated" — the
 // bus-level way of saying "full rescan required".
 //
-// Locking: the journal has two internal leaf mutexes (channel state,
-// subscriber list) and never calls out while holding either — callbacks run
-// after the locks are dropped. record() does NOT notify (the Database
-// batches one notification per statement and dispatches it after releasing
-// its table lock, so callbacks may safely re-enter the Database); touch()
-// notifies immediately and must not be called while holding a lock the
-// callbacks might take. Callbacks run on the committing thread and may fire
-// concurrently with anything; subscribers must do thread-safe work (flip an
-// atomic dirty flag, not regenerate a file). unsubscribe() does not wait
-// for in-flight callbacks — quiesce writers before destroying a subscriber.
+// Locking: the ChannelLog's two leaf mutexes; callbacks run after both are
+// dropped. record() does NOT notify (the Database batches one notification
+// per statement and dispatches it after releasing its table lock, so
+// callbacks may safely re-enter the Database); touch() notifies immediately
+// and must not be called while holding a lock the callbacks might take.
+// Callbacks run on the committing thread and may fire concurrently with
+// anything; subscribers must do thread-safe work (flip an atomic dirty
+// flag, not regenerate a file). unsubscribe() does not wait for in-flight
+// callbacks — quiesce writers before destroying a subscriber.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sqldb/value.hpp"
+#include "support/channel_log.hpp"
 
 namespace rocks::sqldb {
 
 enum class ChangeOp { kInsert, kUpdate, kDelete };
 
 /// One row-level change: what happened, to which primary key, at which
-/// channel revision. A NULL pk means the table has no primary key and the
-/// row cannot be identified — consumers must treat the delta as unusable
-/// (since() reports such ranges as truncated).
+/// channel revision (`seq`). A NULL pk means the table has no primary key
+/// and the row cannot be identified — record() turns it into a truncation
+/// instead of logging it.
 struct ChangeRecord {
   ChangeOp op = ChangeOp::kInsert;
   Value pk;
-  std::uint64_t revision = 0;
-};
-
-/// What a cursor gets back from since(): either the exact records that move
-/// it from its revision to `revision`, or truncated == true ("the journal no
-/// longer covers that range — rescan the table and restart from `revision`").
-struct ChangeDelta {
-  bool truncated = false;
-  std::uint64_t revision = 0;
-  /// Truncation floor: the oldest revision the changelog can still serve a
-  /// cursor from. A cursor below this must rescan; a cursor at or above it
-  /// gets exact records. Recorded so bounded-changelog truncation (and the
-  /// trims a WAL replay causes) give every consumer — since() cursors and
-  /// WAL-replay-driven IncrementalReports alike — the same answer to "is a
-  /// full rescan required, and where may incremental consumption resume".
-  std::uint64_t floor = 0;
-  std::vector<ChangeRecord> changes;  // empty when truncated
+  std::uint64_t seq = 0;
 };
 
 class ChangeJournal {
@@ -90,11 +72,7 @@ class ChangeJournal {
   /// an unconsumed journal cannot grow without bound.
   static constexpr std::size_t kDefaultCapacity = 1024;
 
-  explicit ChangeJournal(std::size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
-
-  // Journals hand out subscription ids; copying one would fork the id space.
-  ChangeJournal(const ChangeJournal&) = delete;
-  ChangeJournal& operator=(const ChangeJournal&) = delete;
+  explicit ChangeJournal(std::size_t capacity = kDefaultCapacity) : log_(capacity) {}
 
   /// Appends one change record, bumping the channel revision. Does NOT
   /// notify — callers batch notifications per statement (see notify()).
@@ -117,19 +95,24 @@ class ChangeJournal {
   /// Current revision of a channel; 0 for channels never written.
   [[nodiscard]] std::uint64_t revision(std::string_view channel) const;
 
-  /// Truncation floor of a channel (see ChangeDelta::floor); 0 for channels
-  /// never written or never truncated.
+  /// Truncation floor of a channel (see support::ChannelDelta::floor); 0
+  /// for channels never written or never truncated. Bounded-changelog
+  /// trims, touches, NULL-pk records and WAL-replay trims all raise it, so
+  /// since() cursors and replay-driven IncrementalReports get the same
+  /// answer to "is a full rescan required".
   [[nodiscard]] std::uint64_t floor(std::string_view channel) const;
 
   /// Cursor read: every record after `revision`, or truncated == true when
   /// the changelog no longer covers that range. Always returns the current
-  /// channel revision, so callers can advance their cursor either way.
-  [[nodiscard]] ChangeDelta since(std::string_view channel, std::uint64_t revision) const;
+  /// channel revision (`seq`), so callers can advance their cursor either
+  /// way.
+  [[nodiscard]] support::ChannelDelta<ChangeRecord> since(std::string_view channel,
+                                                          std::uint64_t revision) const;
 
   /// Registers a callback for one channel (or kAllChannels). Returns an id
   /// for unsubscribe(). Safe to call concurrently with commits.
   std::size_t subscribe(std::string_view channel, Callback callback);
-  void unsubscribe(std::size_t id);
+  void unsubscribe(std::size_t id) { log_.unsubscribe(id); }
 
   /// Invokes every subscriber of `channel` (and every kAllChannels
   /// subscriber) with the channel's current revision. Called by the
@@ -137,15 +120,16 @@ class ChangeJournal {
   /// released; external publishers get it via touch().
   void notify(std::string_view channel);
 
-  /// Changelog bound; shrinking may immediately truncate open cursors.
-  /// Takes effect per channel on its next record().
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const;
+  /// Changelog bound; shrinking immediately trims every channel, which may
+  /// truncate open cursors.
+  void set_capacity(std::size_t capacity) { log_.set_capacity(capacity); }
 
   // --- durability hooks (DESIGN.md §11) ------------------------------------
   /// Every channel's (name, revision) — what a snapshot persists. Names are
   /// the lowered channel keys, in sorted order.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> channel_states() const;
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> channel_states() const {
+    return log_.seqs();
+  }
 
   /// Recovery: reinstates a channel at `revision` with an empty changelog
   /// and floor == revision — the snapshot carries no row-level records, so
@@ -154,36 +138,15 @@ class ChangeJournal {
   void restore_channel(std::string_view channel, std::uint64_t revision);
 
   // Observability (tests, tuning).
-  [[nodiscard]] std::uint64_t records_written() const;
-  [[nodiscard]] std::uint64_t notifications_sent() const;
+  [[nodiscard]] std::uint64_t records_written() const {
+    return records_written_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t notifications_sent() const { return log_.notifications_sent(); }
 
  private:
-  struct Channel {
-    std::uint64_t revision = 0;
-    /// Deltas are reconstructible only for cursors at revision >= floor:
-    /// truncation, touches, and NULL-pk records all raise the floor.
-    std::uint64_t floor = 0;
-    std::deque<ChangeRecord> log;
-  };
-
-  struct Subscriber {
-    std::string channel;  // lowered; kAllChannels for the wildcard
-    std::shared_ptr<Callback> callback;
-  };
-
-  Channel& channel_locked(std::string_view name);
-  void trim_locked(Channel& channel);
-
-  mutable std::mutex state_mutex_;  // guards channels_, capacity_
-  std::map<std::string, Channel, std::less<>> channels_;  // keyed by lowered name
-  std::size_t capacity_;
-
-  mutable std::mutex subscriber_mutex_;  // guards subscribers_, next_subscription_
-  std::map<std::size_t, Subscriber> subscribers_;
-  std::size_t next_subscription_ = 1;
-
-  std::uint64_t records_written_ = 0;        // under state_mutex_
-  std::uint64_t notifications_sent_ = 0;     // under subscriber_mutex_
+  // Keyed by lowered channel name.
+  support::ChannelLog<ChangeRecord, std::string, Callback> log_;
+  std::atomic<std::uint64_t> records_written_{0};
 };
 
 }  // namespace rocks::sqldb

@@ -3,6 +3,9 @@
 // and the update workflow.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -189,6 +192,46 @@ TEST_F(ClusterTest, EkvAcceptsInteractiveInput) {
   EXPECT_EQ(seen[0], "<< F12");
   EXPECT_EQ(node->ekv().inputs_received(), 1u);
   EXPECT_NE(node->ekv().screen().find("<< F12"), std::string::npos);
+}
+
+// A shoot-node viewer interacts "through the same xterm window" (§6.3), so
+// watchers come and go while lines are being delivered.
+TEST(EkvConsole, WatcherDetachingItselfMidLineLeavesOthersServed) {
+  EkvConsole console("compute-0-0");
+  std::size_t first_id = 0;
+  int first_calls = 0;
+  std::vector<std::string> second_seen;
+  first_id = console.attach([&](const EkvLine&) {
+    ++first_calls;
+    console.detach(first_id);
+  });
+  console.attach([&](const EkvLine& line) { second_seen.push_back(line.text); });
+  console.write_line(1.0, "Installing glibc");
+  EXPECT_EQ(first_calls, 1);
+  ASSERT_EQ(second_seen.size(), 1u) << "the second watcher must still get the line";
+  console.write_line(2.0, "Installing bash");
+  EXPECT_EQ(first_calls, 1) << "a detached watcher sees no later line";
+  EXPECT_EQ(second_seen, (std::vector<std::string>{"Installing glibc", "Installing bash"}));
+}
+
+TEST(EkvConsole, WatcherAttachingMoreMidLineStartsThemOnTheNextLine) {
+  EkvConsole console("compute-0-0");
+  int spawned_calls = 0;
+  bool spawned = false;
+  console.attach([&](const EkvLine&) {
+    if (spawned) return;
+    spawned = true;
+    for (int i = 0; i < 8; ++i) console.attach([&](const EkvLine&) { ++spawned_calls; });
+  });
+  std::vector<std::string> other_seen;
+  console.attach([&](const EkvLine& line) { other_seen.push_back(line.text); });
+  console.write_line(1.0, "Installing glibc");
+  EXPECT_EQ(spawned_calls, 0);
+  EXPECT_EQ(other_seen, std::vector<std::string>{"Installing glibc"});
+  console.write_line(2.0, "Installing bash");
+  EXPECT_EQ(spawned_calls, 8);
+  EXPECT_EQ(other_seen.size(), 2u);
+  EXPECT_NE(console.screen().find("[2.0s] Installing bash"), std::string::npos);
 }
 
 TEST_F(ClusterTest, ShootNodeCapturesEkvScreen) {

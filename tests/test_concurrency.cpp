@@ -341,11 +341,11 @@ TEST(DatabaseConcurrency, JournalSubscribeRacingCommits) {
         // Subscription churn racing the writers' notification snapshots.
         for (std::size_t op = 0; op < kOpsPerThread / 10; ++op) {
           const std::size_t id =
-              db.subscribe("nodes", [&callbacks](std::string_view, std::uint64_t) {
+              db.journal().subscribe("nodes", [&callbacks](std::string_view, std::uint64_t) {
                 callbacks.fetch_add(1, std::memory_order_relaxed);
               });
           (void)db.since("nodes", db.revision("nodes") / 2);
-          db.unsubscribe(id);
+          db.journal().unsubscribe(id);
         }
       }
     });

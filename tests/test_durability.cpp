@@ -460,7 +460,7 @@ TEST_F(DurabilityTest, BoundedChangelogRecordsTruncationFloor) {
   // consumption may resume.
   const auto fresh = db.since("t", stale.floor);
   EXPECT_FALSE(fresh.truncated);
-  EXPECT_EQ(fresh.changes.size(), stale.revision - stale.floor);
+  EXPECT_EQ(fresh.records.size(), stale.seq - stale.floor);
 }
 
 TEST_F(DurabilityTest, ReplayedBurstBeyondCapacityForcesRescanConsistently) {
@@ -486,7 +486,7 @@ TEST_F(DurabilityTest, ReplayedBurstBeyondCapacityForcesRescanConsistently) {
   const auto delta = recovered.since("t", pre_crash_cursor);
   EXPECT_TRUE(delta.truncated);
   EXPECT_GE(delta.floor, pre_crash_revision - 4);
-  EXPECT_EQ(delta.revision, pre_crash_revision);
+  EXPECT_EQ(delta.seq, pre_crash_revision);
   // And a snapshot-based recovery (no row records at all) floors at the
   // head: every pre-crash cursor rescans.
   recovered.snapshot();

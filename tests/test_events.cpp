@@ -43,16 +43,16 @@ TEST(EventBus, SinceReturnsExactDeltaAndAdvancesCursor) {
   EventBus bus;
   bus.publish(make_event(EventType::kFault, "http-crash", "replica 0"));
   bus.publish(make_event(EventType::kFault, "flow-kill", "replica 1"));
-  const EventDelta delta = bus.since(EventType::kFault, 0);
+  const auto delta = bus.since(EventType::kFault, 0);
   ASSERT_FALSE(delta.truncated);
-  ASSERT_EQ(delta.events.size(), 2u);
-  EXPECT_EQ(delta.events[0].subject, "http-crash");
-  EXPECT_EQ(delta.events[1].subject, "flow-kill");
+  ASSERT_EQ(delta.records.size(), 2u);
+  EXPECT_EQ(delta.records[0].subject, "http-crash");
+  EXPECT_EQ(delta.records[1].subject, "flow-kill");
   EXPECT_EQ(delta.seq, 2u);
   // Cursor at the tip: empty, not truncated.
-  const EventDelta tip = bus.since(EventType::kFault, delta.seq);
+  const auto tip = bus.since(EventType::kFault, delta.seq);
   EXPECT_FALSE(tip.truncated);
-  EXPECT_TRUE(tip.events.empty());
+  EXPECT_TRUE(tip.records.empty());
 }
 
 TEST(EventBus, BoundedLogSignalsTruncationBelowFloor) {
@@ -60,17 +60,17 @@ TEST(EventBus, BoundedLogSignalsTruncationBelowFloor) {
   for (int i = 0; i < 10; ++i)
     bus.publish(make_event(EventType::kNodeState, strings::cat("host-", i)));
   // A cursor from before the floor is told to rescan, never given a gap.
-  const EventDelta stale = bus.since(EventType::kNodeState, 2);
+  const auto stale = bus.since(EventType::kNodeState, 2);
   EXPECT_TRUE(stale.truncated);
-  EXPECT_TRUE(stale.events.empty());
+  EXPECT_TRUE(stale.records.empty());
   EXPECT_EQ(stale.seq, 10u);
   EXPECT_EQ(stale.floor, 6u);
   // Resuming from the returned seq is exact again.
   bus.publish(make_event(EventType::kNodeState, "host-10"));
-  const EventDelta resumed = bus.since(EventType::kNodeState, stale.seq);
+  const auto resumed = bus.since(EventType::kNodeState, stale.seq);
   ASSERT_FALSE(resumed.truncated);
-  ASSERT_EQ(resumed.events.size(), 1u);
-  EXPECT_EQ(resumed.events[0].subject, "host-10");
+  ASSERT_EQ(resumed.records.size(), 1u);
+  EXPECT_EQ(resumed.records[0].subject, "host-10");
 }
 
 TEST(EventBus, RecentReturnsNewestTailOldestFirst) {

@@ -563,44 +563,44 @@ TEST_F(DbTest, JournalSinceReturnsExactRowDelta) {
   const auto cursor = db.revision("nodes");
   db.execute("INSERT INTO nodes (name, rack) VALUES ('new-node', 2)");  // id 9
   db.execute("DELETE FROM nodes WHERE name = 'compute-0-3'");           // id 7
-  const ChangeDelta delta = db.since("nodes", cursor);
+  const auto delta = db.since("nodes", cursor);
   EXPECT_FALSE(delta.truncated);
-  EXPECT_EQ(delta.revision, db.revision("nodes"));
-  ASSERT_EQ(delta.changes.size(), 2u);
-  EXPECT_EQ(delta.changes[0].op, ChangeOp::kInsert);
-  EXPECT_EQ(delta.changes[0].pk.as_int(), 9);
-  EXPECT_EQ(delta.changes[1].op, ChangeOp::kDelete);
-  EXPECT_EQ(delta.changes[1].pk.as_int(), 7);
+  EXPECT_EQ(delta.seq, db.revision("nodes"));
+  ASSERT_EQ(delta.records.size(), 2u);
+  EXPECT_EQ(delta.records[0].op, ChangeOp::kInsert);
+  EXPECT_EQ(delta.records[0].pk.as_int(), 9);
+  EXPECT_EQ(delta.records[1].op, ChangeOp::kDelete);
+  EXPECT_EQ(delta.records[1].pk.as_int(), 7);
   // A cursor already at the head gets an empty, non-truncated delta.
-  const ChangeDelta current = db.since("nodes", delta.revision);
+  const auto current = db.since("nodes", delta.seq);
   EXPECT_FALSE(current.truncated);
-  EXPECT_TRUE(current.changes.empty());
+  EXPECT_TRUE(current.records.empty());
 }
 
 TEST_F(DbTest, JournalUpdateReassigningPkSplitsIntoDeletePlusInsert) {
   load_paper_tables();
   const auto cursor = db.revision("nodes");
   db.execute("UPDATE nodes SET id = 100 WHERE name = 'web-1-0'");  // id 8 -> 100
-  const ChangeDelta delta = db.since("nodes", cursor);
-  ASSERT_EQ(delta.changes.size(), 2u);
-  EXPECT_EQ(delta.changes[0].op, ChangeOp::kDelete);
-  EXPECT_EQ(delta.changes[0].pk.as_int(), 8);
-  EXPECT_EQ(delta.changes[1].op, ChangeOp::kInsert);
-  EXPECT_EQ(delta.changes[1].pk.as_int(), 100);
+  const auto delta = db.since("nodes", cursor);
+  ASSERT_EQ(delta.records.size(), 2u);
+  EXPECT_EQ(delta.records[0].op, ChangeOp::kDelete);
+  EXPECT_EQ(delta.records[0].pk.as_int(), 8);
+  EXPECT_EQ(delta.records[1].op, ChangeOp::kInsert);
+  EXPECT_EQ(delta.records[1].pk.as_int(), 100);
 }
 
 TEST_F(DbTest, JournalTruncationForcesFullRescan) {
   db.journal().set_capacity(4);
   const auto base = db.revision("nodes");
   load_paper_tables();  // 8 node rows overflow the bound of 4
-  const ChangeDelta stale = db.since("nodes", base);
+  const auto stale = db.since("nodes", base);
   EXPECT_TRUE(stale.truncated);
-  EXPECT_TRUE(stale.changes.empty());
-  EXPECT_EQ(stale.revision, base + 8);  // the cursor can still advance
+  EXPECT_TRUE(stale.records.empty());
+  EXPECT_EQ(stale.seq, base + 8);  // the cursor can still advance
   // A cursor inside the retained window reads incrementally.
-  const ChangeDelta recent = db.since("nodes", base + 4);
+  const auto recent = db.since("nodes", base + 4);
   EXPECT_FALSE(recent.truncated);
-  EXPECT_EQ(recent.changes.size(), 4u);
+  EXPECT_EQ(recent.records.size(), 4u);
   // Shrinking the capacity trims immediately: the window narrows.
   db.journal().set_capacity(2);
   EXPECT_TRUE(db.since("nodes", base + 4).truncated);
@@ -609,7 +609,7 @@ TEST_F(DbTest, JournalTruncationForcesFullRescan) {
 
 TEST_F(DbTest, JournalNotifiesOncePerStatement) {
   std::vector<std::pair<std::string, std::uint64_t>> events;
-  const std::size_t id = db.subscribe("nodes", [&](std::string_view channel,
+  const std::size_t id = db.journal().subscribe("nodes", [&](std::string_view channel,
                                                    std::uint64_t revision) {
     events.emplace_back(std::string(channel), revision);
   });
@@ -620,14 +620,14 @@ TEST_F(DbTest, JournalNotifiesOncePerStatement) {
   EXPECT_EQ(events[0].second, base + 8);
   db.execute("UPDATE nodes SET rack = 5 WHERE rack = 99");  // matches nothing
   EXPECT_EQ(events.size(), 1u);  // zero rows affected: no notification
-  db.unsubscribe(id);
+  db.journal().unsubscribe(id);
   db.execute("DELETE FROM nodes WHERE name = 'web-1-0'");
   EXPECT_EQ(events.size(), 1u);  // unsubscribed: silence
 }
 
 TEST_F(DbTest, JournalWildcardSubscriberSeesEveryChannel) {
   std::vector<std::string> channels;
-  db.subscribe(ChangeJournal::kAllChannels,
+  db.journal().subscribe(ChangeJournal::kAllChannels,
                [&](std::string_view channel, std::uint64_t) {
                  channels.emplace_back(channel);
                });
@@ -641,7 +641,7 @@ TEST_F(DbTest, JournalCallbackMayReenterDatabase) {
   // Subscribers run after the table lock is released, so a callback can
   // issue its own queries — the pattern every config consumer relies on.
   std::size_t rows_seen = 0;
-  db.subscribe("nodes", [&](std::string_view, std::uint64_t) {
+  db.journal().subscribe("nodes", [&](std::string_view, std::uint64_t) {
     rows_seen = db.execute("SELECT id FROM nodes").row_count();
   });
   load_paper_tables();
@@ -673,7 +673,7 @@ TEST_F(DbTest, JournalDdlTruncatesChannel) {
 
 TEST_F(DbTest, JournalTouchSignalsCoarseRescanAndNotifies) {
   std::size_t notified = 0;
-  db.subscribe("kickstart.graph", [&](std::string_view, std::uint64_t) { ++notified; });
+  db.journal().subscribe("kickstart.graph", [&](std::string_view, std::uint64_t) { ++notified; });
   db.journal().touch("kickstart.graph");
   EXPECT_EQ(notified, 1u);
   EXPECT_EQ(db.revision("kickstart.graph"), 1u);

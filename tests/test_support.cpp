@@ -5,11 +5,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "support/backoff.hpp"
+#include "support/channel_log.hpp"
 #include "support/error.hpp"
 #include "support/ip.hpp"
 #include "support/rng.hpp"
@@ -174,6 +178,160 @@ TEST(Errors, RequireHelpers) {
 TEST(Fixed, FormatsDecimals) {
   EXPECT_EQ(fixed(10.345, 1), "10.3");
   EXPECT_EQ(fixed(2.0, 2), "2.00");
+}
+
+// --- ChannelLog: the bounded log + subscribers under the journal, the event
+// bus, syslog and eKV ---------------------------------------------------------
+
+struct Rec {
+  int value = 0;
+  std::uint64_t seq = 0;
+};
+
+std::vector<int> values(const std::vector<Rec>& records) {
+  std::vector<int> out;
+  for (const Rec& record : records) out.push_back(record.value);
+  return out;
+}
+
+TEST(ChannelLog, Contract) {
+  using Log = support::ChannelLog<Rec, int>;
+
+  // Capacity 1 (0 clamps to 1): each append trims its predecessor, and the
+  // floor is the seq of the record just dropped.
+  Log one(0);
+  EXPECT_EQ(one.append(0, {10}), 1u);
+  EXPECT_EQ(one.floor(0), 0u);
+  EXPECT_EQ(one.append(0, {11}), 2u);
+  EXPECT_EQ(one.floor(0), 1u);
+  EXPECT_TRUE(one.since(0, 0).truncated);
+  EXPECT_EQ(values(one.since(0, 1).records), std::vector<int>{11});
+
+  // Capacity N: ten appends keep seqs 7..10 and floor at 6.
+  Log log(4);
+  for (int i = 1; i <= 10; ++i) EXPECT_EQ(log.append(0, {i}), static_cast<std::uint64_t>(i));
+  EXPECT_EQ(log.seq(0), 10u);
+  EXPECT_EQ(log.floor(0), 6u);
+  const auto below = log.since(0, 5);  // floor - 1
+  EXPECT_TRUE(below.truncated);
+  EXPECT_TRUE(below.records.empty());
+  EXPECT_EQ(below.seq, 10u);
+  EXPECT_EQ(below.floor, 6u);
+  const auto at_floor = log.since(0, 6);
+  EXPECT_FALSE(at_floor.truncated);
+  EXPECT_EQ(values(at_floor.records), (std::vector<int>{7, 8, 9, 10}));
+  EXPECT_EQ(at_floor.records.front().seq, 7u);  // append stamps the seq
+  const auto current = log.since(0, 10);
+  EXPECT_FALSE(current.truncated);
+  EXPECT_TRUE(current.records.empty());
+  EXPECT_EQ(current.seq, 10u);
+  // Channels count independently; an unknown channel reads as empty at 0.
+  EXPECT_EQ(log.append(1, {100}), 1u);
+  EXPECT_EQ(log.seq(99), 0u);
+  const auto unknown = log.since(99, 0);
+  EXPECT_FALSE(unknown.truncated);
+  EXPECT_EQ(unknown.seq, 0u);
+  EXPECT_TRUE(log.recent(99, 5).empty());
+
+  // recent(): newest <= limit, oldest first.
+  EXPECT_TRUE(log.recent(0, 0).empty());
+  EXPECT_EQ(values(log.recent(0, 100)), (std::vector<int>{7, 8, 9, 10}));
+  EXPECT_EQ(values(log.recent(0, 2)), (std::vector<int>{9, 10}));
+
+  // Shrinking trims at once and raises the floor.
+  log.set_capacity(2);
+  EXPECT_EQ(log.floor(0), 8u);
+  EXPECT_EQ(values(log.recent(0, 100)), (std::vector<int>{9, 10}));
+  log.set_capacity(4);
+
+  // poison(): a seq with no record; every cursor behind it must rescan.
+  EXPECT_EQ(log.poison(0), 11u);
+  EXPECT_EQ(log.floor(0), 11u);
+  EXPECT_TRUE(log.since(0, 10).truncated);
+  EXPECT_FALSE(log.since(0, 11).truncated);
+  EXPECT_TRUE(log.recent(0, 10).empty());
+  EXPECT_EQ(log.append(0, {12}), 12u);
+  EXPECT_EQ(values(log.since(0, 11).records), std::vector<int>{12});
+
+  // restore(): seq and floor at the recovered value, no records.
+  log.restore(2, 40);
+  EXPECT_EQ(log.seq(2), 40u);
+  EXPECT_TRUE(log.since(2, 39).truncated);
+  EXPECT_FALSE(log.since(2, 40).truncated);
+  EXPECT_EQ(log.append(2, {41}), 41u);
+  EXPECT_EQ(log.seqs(), (std::vector<std::pair<int, std::uint64_t>>{{0, 12}, {1, 1}, {2, 41}}));
+
+  // Subscribers: one channel or all, in subscription order; a callback may
+  // unsubscribe itself (it still sees the record in flight) and subscribe
+  // others (they start with the next record).
+  Log bus(8);
+  std::vector<std::string> calls;
+  std::size_t self_id = 0;
+  self_id = bus.subscribe(0, [&](const Rec& record) {
+    calls.push_back(strings::cat("self:", record.value));
+    bus.unsubscribe(self_id);
+  });
+  bus.subscribe_all([&](const Rec& record) {
+    calls.push_back(strings::cat("all:", record.value, "#", record.seq));
+    if (record.value == 1)
+      bus.subscribe(0, [&](const Rec& late) { calls.push_back(strings::cat("late:", late.value)); });
+  });
+  bus.subscribe(1, [&](const Rec& record) { calls.push_back(strings::cat("one:", record.value)); });
+  EXPECT_EQ(bus.publish(0, {1}), 1u);
+  EXPECT_EQ(bus.publish(0, {2}), 2u);
+  EXPECT_EQ(bus.publish(1, {3}), 1u);
+  EXPECT_EQ(calls, (std::vector<std::string>{"self:1", "all:1#1", "all:2#2", "late:2",
+                                             "all:3#1", "one:3"}));
+  EXPECT_EQ(bus.notifications_sent(), 6u);
+  EXPECT_EQ(values(bus.recent(0, 8)), (std::vector<int>{1, 2}));
+
+  // dispatch() forwards any arguments (the journal notifies per statement
+  // with (channel, revision), not per record).
+  support::ChannelLog<Rec, std::string, std::function<void(std::string_view, std::uint64_t)>>
+      journal(8);
+  std::vector<std::string> notified;
+  journal.subscribe("nodes", [&](std::string_view channel, std::uint64_t revision) {
+    notified.push_back(strings::cat(channel, "@", revision));
+  });
+  journal.append("nodes", {1});
+  journal.append("nodes", {2});
+  journal.dispatch("nodes", std::string_view("nodes"), journal.seq("nodes"));
+  journal.dispatch("apps", std::string_view("apps"), std::uint64_t{0});
+  EXPECT_EQ(notified, std::vector<std::string>{"nodes@2"});
+
+  // Churn: publishers on two channels race subscribe/unsubscribe and cursor
+  // reads; a subscriber present throughout sees every record exactly once.
+  Log shared(16);
+  std::atomic<std::uint64_t> delivered{0};
+  std::atomic<std::uint64_t> churned{0};
+  shared.subscribe_all([&](const Rec&) { delivered.fetch_add(1); });
+  constexpr int kPerPublisher = 2000;
+  std::vector<std::thread> threads;
+  for (int channel = 0; channel < 2; ++channel)
+    threads.emplace_back([&shared, channel] {
+      for (int i = 1; i <= kPerPublisher; ++i) shared.publish(channel, {i});
+    });
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&shared, &churned] {
+      for (int i = 0; i < 500; ++i) {
+        const std::size_t id = shared.subscribe(0, [&churned](const Rec&) { churned.fetch_add(1); });
+        const auto delta = shared.since(0, shared.seq(0) / 2);
+        for (std::size_t k = 1; k < delta.records.size(); ++k) {
+          EXPECT_EQ(delta.records[k].seq, delta.records[k - 1].seq + 1);
+        }
+        (void)shared.recent(1, 4);
+        shared.unsubscribe(id);
+      }
+    });
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(delivered.load(), 2u * kPerPublisher);
+  EXPECT_EQ(shared.notifications_sent(), 2u * kPerPublisher + churned.load());
+  for (int channel = 0; channel < 2; ++channel) {
+    EXPECT_EQ(shared.seq(channel), static_cast<std::uint64_t>(kPerPublisher));
+    EXPECT_EQ(values(shared.recent(channel, 1)), std::vector<int>{kPerPublisher});
+    EXPECT_EQ(shared.since(channel, kPerPublisher - 16).records.size(), 16u);
+    EXPECT_TRUE(shared.since(channel, kPerPublisher - 17).truncated);
+  }
 }
 
 TEST(ThreadPool, SubmitReturnsFutureWithResult) {
