@@ -9,6 +9,22 @@ namespace rocks::cluster {
 
 using strings::cat;
 
+void DhcpBindingPush::push(sqldb::Database& db, netsim::DhcpServer& dhcp, Ipv4 server_ip) {
+  if (!db.has_table("nodes")) return;
+  const std::uint64_t nodes_revision = db.revision("nodes");
+  if (nodes_revision == pushed_revision_) return;
+  std::map<Mac, netsim::DhcpLease> bindings;
+  const auto rows = db.execute("SELECT mac, name, ip FROM nodes ORDER BY id");
+  for (const auto& row : rows.rows) {
+    const auto mac = Mac::parse(row[0].to_string());
+    const auto ip = Ipv4::parse(row[2].to_string());
+    if (!mac || !ip) continue;
+    bindings.emplace(*mac, netsim::DhcpLease{*ip, row[1].to_string(), server_ip});
+  }
+  dhcp.configure(std::move(bindings));
+  pushed_revision_ = nodes_revision;
+}
+
 Frontend::Frontend(netsim::Simulator& sim, netsim::SyslogBus& syslog,
                    const rpm::SynthDistro& distro, FrontendConfig config)
     : sim_(sim),
@@ -84,23 +100,7 @@ services::ServiceManager::Report Frontend::flush_services() {
   // ships the flushed groups and throws until a majority acknowledges.
   if (commit_barrier_) commit_barrier_();
   auto report = services_.regenerate(db_, fs_);
-
-  // The DHCP daemon's static bindings follow the nodes table; re-push only
-  // when it actually moved since the last push (the restart re-reads the
-  // conf, so a burst of registrations coalesces into one reconfigure).
-  const std::uint64_t nodes_revision = db_.revision("nodes");
-  if (nodes_revision != dhcp_pushed_revision_) {
-    std::map<Mac, netsim::DhcpLease> bindings;
-    const auto rows = db_.execute("SELECT mac, name, ip FROM nodes ORDER BY id");
-    for (const auto& row : rows.rows) {
-      const auto mac = Mac::parse(row[0].to_string());
-      const auto ip = Ipv4::parse(row[2].to_string());
-      if (!mac || !ip) continue;
-      bindings.emplace(*mac, netsim::DhcpLease{*ip, row[1].to_string(), config_.ip});
-    }
-    dhcp_.configure(std::move(bindings));
-    dhcp_pushed_revision_ = nodes_revision;
-  }
+  dhcp_bindings_.push(db_, dhcp_, config_.ip);
   if (bus_ != nullptr) {
     for (const std::string& service : report.restarted)
       bus_->publish(events::Event{events::EventType::kServiceFlush, service, "restarted",
@@ -111,7 +111,7 @@ services::ServiceManager::Report Frontend::flush_services() {
 
 std::vector<std::string> Frontend::regenerate_services() {
   services_.mark_all_dirty();
-  dhcp_pushed_revision_ = kNeverPushed;  // force the binding push
+  dhcp_bindings_.invalidate();  // force the binding push
   return flush_services().restarted;
 }
 

@@ -31,6 +31,20 @@ struct NodeEnvironment;
 
 namespace rocks::cluster {
 
+/// The DHCP daemon's static bindings, pushed from the nodes table (by the
+/// Frontend and by serving Followers). push() binds every node with a
+/// parsable MAC and IP, and only when the table's revision moved since the
+/// last push, so a burst of registrations coalesces into one reconfigure.
+class DhcpBindingPush {
+ public:
+  void invalidate() { pushed_revision_ = kNeverPushed; }  // force the next push
+  void push(sqldb::Database& db, netsim::DhcpServer& dhcp, Ipv4 server_ip);
+
+ private:
+  static constexpr std::uint64_t kNeverPushed = ~std::uint64_t{0};
+  std::uint64_t pushed_revision_ = kNeverPushed;  // nodes revision last pushed
+};
+
 struct FrontendConfig {
   std::string name = "frontend-0";
   Ipv4 ip{10, 1, 1, 1};
@@ -171,10 +185,7 @@ class Frontend {
   netsim::DhcpServer dhcp_;
   std::unique_ptr<kickstart::KickstartServer> kickstart_server_;
   services::ServiceManager services_;
-  /// nodes-table journal revision the DHCP server's bindings reflect;
-  /// kNeverPushed forces the next flush to push.
-  static constexpr std::uint64_t kNeverPushed = ~std::uint64_t{0};
-  std::uint64_t dhcp_pushed_revision_ = kNeverPushed;
+  DhcpBindingPush dhcp_bindings_;
   sqldb::RecoveryReport recovery_;
   std::function<void()> commit_barrier_;  // replication quorum/ship hook
   events::EventBus* bus_ = nullptr;       // the cluster's event spine

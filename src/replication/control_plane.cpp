@@ -33,12 +33,11 @@ void ControlPlane::lead(sqldb::Database& db, std::string name) {
   require_state(leader_db_ == nullptr,
                 cat("already led by ", leader_name_, "; kill_leader() first"));
   require_state(db.durable(), "the leader database needs a durable store to ship from");
+  seed_log_from(db);
   if (epoch_ == 0) epoch_ = 1;
   leader_db_ = &db;
   leader_name_ = std::move(name);
-  seed_log_from(db);
-  db.set_wal_sink(
-      [this](const std::vector<sqldb::WalRecord>& records) { on_commit(records); });
+  db.set_wal_sink([this](sqldb::WalGroup group) { on_commit(std::move(group)); });
 }
 
 Follower& ControlPlane::add_follower(FollowerConfig config, const rpm::SynthDistro* distro) {
@@ -57,35 +56,33 @@ std::vector<netsim::ReplicationLink*> ControlPlane::links() {
   return out;
 }
 
-void ControlPlane::on_commit(const std::vector<sqldb::WalRecord>& records) {
-  if (records.empty()) return;
-  sqldb::WalGroup group;
-  group.first_lsn = records.front().lsn;
-  group.last_lsn = records.back().lsn;
-  for (const sqldb::WalRecord& record : records)
-    group.bytes += sqldb::encode_wal_record(record);
+void ControlPlane::on_commit(sqldb::WalGroup group) {
   // log_mutex_ is a leaf under the engine's exclusive lock: nothing else is
   // acquired while it is held, so the sink can run from any committing
   // thread while pump() copies the log out on another.
   std::lock_guard<std::mutex> lock(log_mutex_);
   log_.push_back(std::move(group));
-  while (log_.size() > config_.max_log_groups) {
-    // Overflow raises the floor: a follower acked below it re-bootstraps
-    // from a snapshot image instead of replaying ancient history.
-    floor_ = log_.front().last_lsn;
-    log_.pop_front();
-    ++log_evictions_;
-  }
+  trim_log_locked();
 }
 
 void ControlPlane::seed_log_from(sqldb::Database& db) {
+  // The whole committed stream: a group-commit tail still in the WAL
+  // buffer would otherwise be missing from the log, and the next shipped
+  // group would open an LSN gap at every follower.
+  db.wal_flush();
   const std::vector<sqldb::WalGroup> groups = sqldb::wal_groups_after(db.wal_image(), 0);
   std::lock_guard<std::mutex> lock(log_mutex_);
   log_.assign(groups.begin(), groups.end());
   // Everything the durable WAL no longer covers (absorbed by a snapshot)
   // is below the floor; a follower acked below it must bootstrap.
   floor_ = log_.empty() ? db.last_lsn() : log_.front().first_lsn - 1;
+  trim_log_locked();
+}
+
+void ControlPlane::trim_log_locked() {
   while (log_.size() > config_.max_log_groups) {
+    // Overflow raises the floor: a follower acked below it re-bootstraps
+    // from a snapshot image instead of replaying ancient history.
     floor_ = log_.front().last_lsn;
     log_.pop_front();
     ++log_evictions_;
@@ -263,8 +260,7 @@ std::string ControlPlane::promote() {
   leader_db_ = &best->follower->db();
   leader_name_ = best->follower->name();
   seed_log_from(*leader_db_);
-  leader_db_->set_wal_sink(
-      [this](const std::vector<sqldb::WalRecord>& records) { on_commit(records); });
+  leader_db_->set_wal_sink([this](sqldb::WalGroup group) { on_commit(std::move(group)); });
 
   const std::uint64_t leader_lsn = leader_db_->last_lsn();
   const Shipment announce{epoch_, {}};

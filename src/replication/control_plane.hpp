@@ -99,9 +99,9 @@ class ControlPlane {
 
   // --- topology --------------------------------------------------------------
   /// Installs `db` (the active frontend's durable database) as the leader of
-  /// epoch 1: hooks the WAL sink and seeds the ship log from the durable
-  /// WAL image so followers added later can catch up without a bootstrap
-  /// when the WAL still covers them.
+  /// epoch 1: seeds the ship log from its WAL (flushed first, so the
+  /// group-commit tail is in it) and hooks the WAL sink, so followers added
+  /// later can catch up without a bootstrap when the WAL still covers them.
   void lead(sqldb::Database& db, std::string name);
 
   /// Adds a follower behind a fresh ReplicationLink. Storage-only when
@@ -182,14 +182,16 @@ class ControlPlane {
     std::uint64_t bootstraps = 0;
   };
 
-  /// The WAL sink: appends one committed statement's records to the ship
-  /// log. Runs under the leader engine's exclusive lock — log_mutex_ is a
-  /// leaf below it, and pump() copies the log out before delivering, so the
-  /// two lock orders never interleave.
-  void on_commit(const std::vector<sqldb::WalRecord>& records);
+  /// The WAL sink: appends one committed statement's group to the ship log.
+  /// Runs under the leader engine's exclusive lock — log_mutex_ is a leaf
+  /// below it, and pump() copies the log out before delivering, so the two
+  /// lock orders never interleave.
+  void on_commit(sqldb::WalGroup group);
 
-  /// Rebuilds the ship log from `db`'s durable WAL image (lead/promote).
+  /// Rebuilds the ship log from `db`'s flushed WAL (lead/promote).
   void seed_log_from(sqldb::Database& db);
+  /// Evicts groups past max_log_groups, raising the floor (log_mutex_ held).
+  void trim_log_locked();
 
   /// Ships to one slot from a log copy: bootstrap when forced or behind the
   /// floor, incremental groups otherwise. Throws UnavailableError when the

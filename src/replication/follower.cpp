@@ -1,10 +1,8 @@
 #include "replication/follower.hpp"
 
-#include <map>
 #include <utility>
 
 #include "services/generators.hpp"
-#include "sqldb/wal.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -73,16 +71,12 @@ Ack Follower::apply_shipment(const Shipment& shipment) {
   epoch_ = shipment.epoch;
 
   for (const std::string& group : shipment.groups) {
-    const sqldb::WalReadResult decoded = sqldb::read_wal(group);
-    if (decoded.torn || decoded.records.empty() ||
-        !decoded.records.back().commit) {
-      return Ack{epoch_, last_lsn(), false, "corrupt statement group"};
-    }
     try {
-      db_.replicate_apply(decoded.records);
+      db_.replicate_apply(group);
     } catch (const Error& error) {
-      // Typically the LSN-gap StateError: the leader must catch us up from
-      // its WAL cursor or re-bootstrap. Nothing from this group applied.
+      // A corrupt group, or typically the LSN-gap StateError: the leader
+      // must catch us up from its WAL cursor or re-bootstrap. Nothing from
+      // this group applied.
       return Ack{epoch_, last_lsn(), false, error.what()};
     }
   }
@@ -113,7 +107,7 @@ Ack Follower::apply_bootstrap(std::string_view image, std::uint64_t shipment_epo
   }
   ++bootstraps_;
   services_.mark_all_dirty();
-  dhcp_pushed_revision_ = kNeverPushed;
+  dhcp_bindings_.invalidate();
   flush_services();
   return Ack{epoch_, last_lsn(), true, ""};
 }
@@ -127,7 +121,7 @@ void Follower::promote(std::uint64_t new_epoch) {
   // A promoted frontend must answer with current derived state: regenerate
   // everything before the first request lands.
   services_.mark_all_dirty();
-  dhcp_pushed_revision_ = kNeverPushed;
+  dhcp_bindings_.invalidate();
   flush_services();
 }
 
@@ -146,19 +140,7 @@ cluster::NodeEnvironment Follower::environment() {
 
 void Follower::flush_services() {
   services_.regenerate(db_, disk_);
-  if (dhcp_ == nullptr || !db_.has_table("nodes")) return;
-  const std::uint64_t nodes_revision = db_.revision("nodes");
-  if (nodes_revision == dhcp_pushed_revision_) return;
-  std::map<Mac, netsim::DhcpLease> bindings;
-  const auto rows = db_.execute("SELECT mac, name, ip FROM nodes ORDER BY id");
-  for (const auto& row : rows.rows) {
-    const auto mac = Mac::parse(row[0].to_string());
-    const auto ip = Ipv4::parse(row[2].to_string());
-    if (!mac || !ip) continue;
-    bindings.emplace(*mac, netsim::DhcpLease{*ip, row[1].to_string(), config_.ip});
-  }
-  dhcp_->configure(std::move(bindings));
-  dhcp_pushed_revision_ = nodes_revision;
+  if (dhcp_ != nullptr) dhcp_bindings_.push(db_, *dhcp_, config_.ip);
 }
 
 }  // namespace rocks::replication

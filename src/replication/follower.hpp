@@ -25,6 +25,7 @@
 #include <string>
 #include <string_view>
 
+#include "cluster/frontend.hpp"
 #include "cluster/node.hpp"
 #include "kickstart/defaults.hpp"
 #include "kickstart/server.hpp"
@@ -123,8 +124,7 @@ class Follower {
   std::unique_ptr<netsim::HttpServerGroup> http_;
   std::unique_ptr<netsim::DhcpServer> dhcp_;
   std::unique_ptr<kickstart::KickstartServer> kickstart_;
-  static constexpr std::uint64_t kNeverPushed = ~std::uint64_t{0};
-  std::uint64_t dhcp_pushed_revision_ = kNeverPushed;
+  cluster::DhcpBindingPush dhcp_bindings_;
 };
 
 }  // namespace rocks::replication

@@ -22,23 +22,4 @@ Shipment decode_shipment(std::string_view bytes) {
   return shipment;
 }
 
-std::string encode_ack(const Ack& ack) {
-  support::BinaryWriter out;
-  out.u64(ack.epoch);
-  out.u64(ack.last_lsn);
-  out.u8(ack.accepted ? 1 : 0);
-  out.str(ack.error);
-  return out.take();
-}
-
-Ack decode_ack(std::string_view bytes) {
-  support::BinaryReader in(bytes);
-  Ack ack;
-  ack.epoch = in.u64();
-  ack.last_lsn = in.u64();
-  ack.accepted = in.u8() != 0;
-  ack.error = std::string(in.str());
-  return ack;
-}
-
 }  // namespace rocks::replication

@@ -12,7 +12,8 @@
 // promotion path uses it to fence a resurrected stale leader before any
 // data moves.
 //
-// The Ack carries the follower's epoch and durable LSN after the apply.
+// The Ack carries the follower's epoch and durable LSN after the apply. It
+// is returned in-process and never crosses a link, so it has no wire form.
 // `accepted == false` distinguishes two refusals the leader treats very
 // differently: an epoch fence (the follower has seen a newer leader — stop
 // immediately) and an LSN gap (the follower missed history — catch it up
@@ -41,10 +42,7 @@ struct Ack {
 
 [[nodiscard]] std::string encode_shipment(const Shipment& shipment);
 /// Throws ParseError on a truncated or corrupt envelope (the per-record WAL
-/// CRCs are checked later, by the follower's read_wal pass).
+/// CRCs are checked later, by Database::replicate_apply).
 [[nodiscard]] Shipment decode_shipment(std::string_view bytes);
-
-[[nodiscard]] std::string encode_ack(const Ack& ack);
-[[nodiscard]] Ack decode_ack(std::string_view bytes);
 
 }  // namespace rocks::replication

@@ -413,8 +413,11 @@ void Database::commit_locked(std::vector<WalRecord>& records) {
     // Ship before the local flush: a flush failure (disk refusing the bytes)
     // must not open a gap in the ship stream — the group is already buffered
     // by the leader's control plane, and remote durability can outrun a
-    // faulty local disk under quorum commit.
-    if (wal_sink_) wal_sink_(records);
+    // faulty local disk under quorum commit. The sink gets the frames the
+    // WAL just buffered; only an attached sink costs a copy.
+    if (wal_sink_)
+      wal_sink_(WalGroup{records.front().lsn, records.back().lsn,
+                         std::string(durability_->wal.statement_bytes())});
     // The commit timestamp IS the commit-marked record's LSN.
     ts = durability_->next_lsn - 1;
   } else if (durability_ != nullptr) {
@@ -1155,19 +1158,7 @@ RecoveryReport Database::open_durable(vfs::FileSystem& fs, std::string_view dir)
     if (!snapshot) ++report.snapshots_skipped;
   }
   if (snapshot) {
-    for (TableState& state : snapshot->tables) {
-      Table& table = create_table_locked(state.name, state.columns);
-      for (Row& row : state.rows) table.restore_row(std::move(row));
-      table.set_next_auto(state.next_auto);
-      for (const std::string& column : state.indexed) table.create_index(column);
-    }
-    // Snapshot state is the base every read timestamp sees: rows restore
-    // with begin_ts 0, tables stamp created at 0.
-    for (const std::shared_ptr<Table>& created : pending_creates_) created->stamp_created(0);
-    pending_creates_.clear();
-    for (const auto& [channel, revision] : snapshot->channels)
-      journal_.restore_channel(channel, revision);
-    durability_->next_lsn = snapshot->last_lsn + 1;
+    restore_snapshot_locked(*snapshot);
     report.snapshot_loaded = true;
     report.snapshot_seq = snapshot->seq;
     report.snapshot_lsn = snapshot->last_lsn;
@@ -1182,7 +1173,7 @@ RecoveryReport Database::open_durable(vfs::FileSystem& fs, std::string_view dir)
   //    rest rather than corrupting.
   const std::string wal_path = durability_->wal.path();
   if (fs.is_file(wal_path)) {
-    const std::string bytes = fs.read_file(wal_path);  // copy: we may rewrite
+    const std::string bytes = fs.read_file(wal_path);  // copy: we may cut it back
     const WalReadResult wal = read_wal(bytes);
     report.wal_torn = wal.torn;
     // Records apply in whole statements: buffer until a commit-marked
@@ -1214,13 +1205,9 @@ RecoveryReport Database::open_durable(vfs::FileSystem& fs, std::string_view dir)
     }
     report.wal_records_dropped = wal.records.size() - consumed;
     if (wal.torn || report.wal_records_dropped > 0) {
-      // Rewrite the file as exactly the records that survive, so a later
-      // recovery (or further appends) never sees the dead tail. Re-encoding
-      // a decoded record is byte-identical to its original frame.
-      std::string surviving;
-      for (std::size_t i = 0; i < consumed; ++i)
-        surviving += encode_wal_record(wal.records[i]);
-      fs.write_file(wal_path, std::move(surviving));
+      // Cut the file back to the byte prefix that survives, so a later
+      // recovery (or further appends) never sees the dead tail.
+      fs.write_file(wal_path, bytes.substr(0, wal.frame_start(consumed)));
     }
   }
   // Recovery's position is the commit cursor: pins taken from here on see
@@ -1235,19 +1222,28 @@ std::uint64_t Database::snapshot() {
   // second snapshot() must not interleave with this one's publish phase.
   // Lock order: snapshot_mutex_ -> table_lock_.
   std::lock_guard<std::mutex> checkpoint_guard(snapshot_mutex_);
+  CapturedImage image = capture_image(/*flush_wal=*/true);
+  std::lock_guard<std::mutex> lock(table_lock_);
+  // Drop only what the snapshot absorbed: statements that committed while
+  // serialization ran stay in the WAL for the next recovery to replay.
+  return publish_snapshot_locked(std::move(image.bytes), image.last_lsn);
+}
 
+Database::CapturedImage Database::capture_image(bool flush_wal) const {
   SnapshotData data;
   std::vector<CapturedTable> captured;
   ReaderRegistry::Pin pin;
   {
-    // Phase 1 (brief exclusive hold): fix the checkpoint's commit timestamp,
-    // flush what it absorbs, pin a read view at it, and capture the bits
-    // that belong to that timestamp rather than to serialization time.
+    // Brief exclusive hold: fix the image's commit timestamp, pin a read
+    // view at it, and capture the bits that belong to that timestamp rather
+    // than to serialization time.
     std::lock_guard<std::mutex> lock(table_lock_);
-    require_state(durability_ != nullptr, "snapshot() requires a durable store (open_durable)");
-    // Everything committed must be on disk before the snapshot claims to
+    require_state(durability_ != nullptr, "snapshot requires a durable store (open_durable)");
+    // Everything committed must be on disk before a checkpoint claims to
     // absorb it (a group-commit tail could otherwise be lost twice over).
-    durability_->wal.flush();
+    if (flush_wal) durability_->wal.flush();
+    // The commit cursor, not next_lsn - 1: under the lock they agree, and
+    // the cursor is what the pinned view actually serializes.
     data.last_lsn = commit_ts_.load(std::memory_order_seq_cst);
     data.seq = durability_->next_snapshot_seq;
     for (const auto& [key, table] : tables_)
@@ -1255,9 +1251,8 @@ std::uint64_t Database::snapshot() {
     data.channels = journal_.channel_states();
     pin = registry_.pin(commit_ts_);
   }
-
-  // Phase 2 (no locks): serialize the pinned view while DML proceeds.
-  // pin.ts() == last_lsn — both were read under the same hold.
+  // No locks: serialize the pinned view while DML proceeds. pin.ts() ==
+  // last_lsn — both were read under the same hold.
   for (const CapturedTable& cap : captured) {
     TableState state;
     state.name = cap.table->name();
@@ -1268,37 +1263,70 @@ std::uint64_t Database::snapshot() {
     for (const Row* row : reader.visible_rows()) state.rows.push_back(*row);
     data.tables.push_back(std::move(state));
   }
-  std::string bytes = encode_snapshot(data);
-  pin.release();
+  return CapturedImage{encode_snapshot(data), data.last_lsn};
+}
 
-  {
-    // Phase 3 (brief exclusive hold): publish and truncate.
-    std::lock_guard<std::mutex> lock(table_lock_);
-    vfs::FileSystem& fs = *durability_->fs;
-    const std::string tmp_path = vfs::join(durability_->dir, kSnapshotTmpName);
-    const std::string final_path = vfs::join(durability_->dir, snapshot_file_name(data.seq));
-    support::crash_point("snapshot.write.before");
-    fs.write_file(tmp_path, std::move(bytes));
-    // Crash here: an orphaned tmp file recovery never reads. Publication is
-    // the rename — atomic, so readers see the old snapshot set or the new
-    // one, never a partial file under the real name.
-    support::crash_point("snapshot.write.after");
-    fs.rename(tmp_path, final_path);
-    // Crash here: the snapshot is live but the WAL still holds records it
-    // absorbed — replay skips them by LSN, so recovery is exact either way.
-    support::crash_point("snapshot.rename.after");
-    // Drop only what the snapshot absorbed: statements that committed while
-    // serialization ran stay in the WAL for the next recovery to replay.
-    durability_->wal.reset_through(data.last_lsn);
-    ++durability_->next_snapshot_seq;
-    support::crash_point("snapshot.retire.before");
-    // Retention: keep the newest two, so a corrupt newest falls back one
-    // step instead of losing the store.
-    const std::vector<std::uint64_t> seqs = list_snapshots(fs, durability_->dir);
-    for (std::size_t i = 0; i + 2 < seqs.size(); ++i)
-      fs.remove(vfs::join(durability_->dir, snapshot_file_name(seqs[i])));
+void Database::restore_snapshot_locked(SnapshotData& snapshot) {
+  const std::uint64_t boundary = snapshot.last_lsn;
+  // The image replaces everything: current tables (none during recovery)
+  // are stamped dropped at the image boundary — readers pinned before it
+  // keep resolving them through the catalog — and the image's tables
+  // become the visible set from the boundary on, their rows restored with
+  // begin_ts 0. Channel revisions and the LSN cursor are adopted wholesale.
+  for (const auto& [key, table] : tables_) {
+    table->commit_pending(boundary);  // no rollback: stamp any strays
+    table->stamp_dropped(boundary);
   }
-  return data.seq;
+  tables_.clear();
+  pending_drops_.clear();
+  for (TableState& state : snapshot.tables) {
+    Table& table = create_table_locked(state.name, state.columns);
+    for (Row& row : state.rows) table.restore_row(std::move(row));
+    table.set_next_auto(state.next_auto);
+    for (const std::string& column : state.indexed) table.create_index(column);
+  }
+  for (const std::shared_ptr<Table>& created : pending_creates_) created->stamp_created(boundary);
+  pending_creates_.clear();
+  for (const auto& [channel, revision] : snapshot.channels)
+    journal_.restore_channel(channel, revision);
+  durability_->next_lsn = boundary + 1;
+  commit_ts_.store(boundary, std::memory_order_seq_cst);
+}
+
+std::uint64_t Database::publish_snapshot_locked(std::string bytes,
+                                                std::optional<std::uint64_t> absorbed) {
+  // The crash points belong to the checkpoint. A replica install
+  // (`absorbed` empty) replaces the whole history, and its crash repair is
+  // the leader's re-bootstrap.
+  const auto point = [checkpoint = absorbed.has_value()](std::string_view name) {
+    if (checkpoint) support::crash_point(name);
+  };
+  vfs::FileSystem& fs = *durability_->fs;
+  const std::uint64_t seq = durability_->next_snapshot_seq;
+  const std::string tmp_path = vfs::join(durability_->dir, kSnapshotTmpName);
+  const std::string final_path = vfs::join(durability_->dir, snapshot_file_name(seq));
+  point("snapshot.write.before");
+  fs.write_file(tmp_path, std::move(bytes));
+  // Crash here: an orphaned tmp file recovery never reads. Publication is
+  // the rename — atomic, so readers see the old snapshot set or the new
+  // one, never a partial file under the real name.
+  point("snapshot.write.after");
+  fs.rename(tmp_path, final_path);
+  // Crash here: the snapshot is live but the WAL still holds records it
+  // absorbed — replay skips them by LSN, so recovery is exact either way.
+  point("snapshot.rename.after");
+  if (absorbed)
+    durability_->wal.reset_through(*absorbed);
+  else
+    durability_->wal.reset();
+  ++durability_->next_snapshot_seq;
+  point("snapshot.retire.before");
+  // Retention: keep the newest two, so a corrupt newest falls back one
+  // step instead of losing the store.
+  const std::vector<std::uint64_t> seqs = list_snapshots(fs, durability_->dir);
+  for (std::size_t i = 0; i + 2 < seqs.size(); ++i)
+    fs.remove(vfs::join(durability_->dir, snapshot_file_name(seqs[i])));
+  return seq;
 }
 
 void Database::wal_flush() {
@@ -1331,15 +1359,20 @@ void Database::set_read_only(bool read_only, std::string leader_hint) {
   read_only_.store(read_only, std::memory_order_relaxed);
 }
 
-std::uint64_t Database::replicate_apply(const std::vector<WalRecord>& group) {
-  require_state(!group.empty(), "replicate_apply: empty statement group");
+std::uint64_t Database::replicate_apply(std::string_view group) {
+  // One decode: the records drive the apply, their frames are appended to
+  // the replica's WAL byte for byte.
+  const WalReadResult wal = read_wal(group);
+  require_state(!wal.torn && !wal.records.empty() && wal.records.back().commit,
+                "corrupt statement group");
   std::vector<std::string> touched;
   std::uint64_t position = 0;
   {
     const auto lock = timed_lock<std::unique_lock<std::mutex>>(
         table_lock_, exclusive_acquisitions_, exclusive_wait_ns_);
     require_state(durability_ != nullptr, "replicate_apply() requires a durable store");
-    for (const WalRecord& record : group) {
+    for (std::size_t i = 0; i < wal.records.size(); ++i) {
+      const WalRecord& record = wal.records[i];
       // Duplicate delivery (a re-ship overlapping the acked prefix) is
       // idempotent: already-applied records are skipped by LSN.
       if (record.lsn < durability_->next_lsn) continue;
@@ -1350,7 +1383,8 @@ std::uint64_t Database::replicate_apply(const std::vector<WalRecord>& group) {
       apply_wal_record(record);
       // Replay-applied records keep their leader LSNs in the replica's own
       // WAL, so a crashed follower recovers to the same gapless history.
-      durability_->wal.append(record);
+      const std::size_t start = wal.frame_start(i);
+      durability_->wal.append_frame(record.lsn, group.substr(start, wal.ends[i] - start));
       ++durability_->next_lsn;
       // Commit-marked record: stamp the group's versions with its LSN —
       // the leader's commit timestamps, reproduced exactly.
@@ -1371,36 +1405,7 @@ std::uint64_t Database::replicate_apply(const std::vector<WalRecord>& group) {
   return position;
 }
 
-std::string Database::snapshot_image() const {
-  SnapshotData data;
-  std::vector<CapturedTable> captured;
-  ReaderRegistry::Pin pin;
-  {
-    std::lock_guard<std::mutex> lock(table_lock_);
-    require_state(durability_ != nullptr, "snapshot_image() requires a durable store");
-    // The commit cursor, not next_lsn - 1: under the lock they agree, and
-    // the cursor is what the pinned view actually serializes.
-    data.last_lsn = commit_ts_.load(std::memory_order_seq_cst);
-    data.seq = durability_->next_snapshot_seq;
-    for (const auto& [key, table] : tables_)
-      captured.push_back({table, table->indexed_columns(), table->next_auto()});
-    data.channels = journal_.channel_states();
-    pin = registry_.pin(commit_ts_);
-  }
-  // Serialize the pinned view with the lock released — a leader keeps
-  // committing while it builds a follower's bootstrap image.
-  for (const CapturedTable& cap : captured) {
-    TableState state;
-    state.name = cap.table->name();
-    state.columns = cap.table->columns();
-    state.indexed = cap.indexed;
-    state.next_auto = cap.next_auto;
-    const Table::Reader reader = cap.table->reader(pin.ts());
-    for (const Row* row : reader.visible_rows()) state.rows.push_back(*row);
-    data.tables.push_back(std::move(state));
-  }
-  return encode_snapshot(data);
-}
+std::string Database::snapshot_image() const { return capture_image(/*flush_wal=*/false).bytes; }
 
 std::uint64_t Database::install_replica_snapshot(std::string_view image) {
   // Not zero-pause: a wholesale state replacement has no meaningful
@@ -1409,47 +1414,13 @@ std::uint64_t Database::install_replica_snapshot(std::string_view image) {
   std::lock_guard<std::mutex> lock(table_lock_);
   require_state(durability_ != nullptr,
                 "install_replica_snapshot() requires a durable store");
-  const std::optional<SnapshotData> snapshot = decode_snapshot(image);
+  std::optional<SnapshotData> snapshot = decode_snapshot(image);
   require_state(snapshot.has_value(), "install_replica_snapshot: corrupt snapshot image");
-  const std::uint64_t boundary = snapshot->last_lsn;
-  // Re-bootstrap replaces everything: the current tables are stamped
-  // dropped at the image boundary (readers pinned before the install keep
-  // resolving them through the catalog), the image's tables restore as the
-  // new visible set, and its channel revisions and LSN cursor are adopted
-  // wholesale.
-  for (const auto& [key, table] : tables_) {
-    table->commit_pending(boundary);  // no rollback: stamp any strays
-    table->stamp_dropped(boundary);
-  }
-  tables_.clear();
-  pending_drops_.clear();
-  for (const TableState& state : snapshot->tables) {
-    Table& table = create_table_locked(state.name, state.columns);
-    for (const Row& row : state.rows) table.restore_row(Row(row));
-    table.set_next_auto(state.next_auto);
-    for (const std::string& column : state.indexed) table.create_index(column);
-  }
-  for (const std::shared_ptr<Table>& created : pending_creates_) created->stamp_created(boundary);
-  pending_creates_.clear();
-  for (const auto& [channel, revision] : snapshot->channels)
-    journal_.restore_channel(channel, revision);
-  durability_->next_lsn = boundary + 1;
-  commit_ts_.store(boundary, std::memory_order_seq_cst);
-  // Persist the image as this replica's own snapshot (temp + atomic rename,
-  // same publication protocol as snapshot()) and truncate the WAL: an
+  restore_snapshot_locked(*snapshot);
+  // Persist the image as this replica's own snapshot and reset the WAL: an
   // independent crash recovery of this store now starts from the image.
-  vfs::FileSystem& fs = *durability_->fs;
-  const std::string tmp_path = vfs::join(durability_->dir, kSnapshotTmpName);
-  const std::string final_path =
-      vfs::join(durability_->dir, snapshot_file_name(durability_->next_snapshot_seq));
-  fs.write_file(tmp_path, std::string(image));
-  fs.rename(tmp_path, final_path);
-  ++durability_->next_snapshot_seq;
-  durability_->wal.reset();
-  const std::vector<std::uint64_t> seqs = list_snapshots(fs, durability_->dir);
-  for (std::size_t i = 0; i + 2 < seqs.size(); ++i)
-    fs.remove(vfs::join(durability_->dir, snapshot_file_name(seqs[i])));
-  return boundary;
+  publish_snapshot_locked(std::string(image), std::nullopt);
+  return snapshot->last_lsn;
 }
 
 std::string Database::wal_image() const {

@@ -53,6 +53,8 @@ class FileSystem;
 namespace rocks::sqldb {
 
 struct WalRecord;
+struct WalGroup;
+struct SnapshotData;
 class ReadView;
 
 /// What open_durable() found and did while bringing the store back up.
@@ -226,27 +228,29 @@ class Database {
   // (install_replica_snapshot), and fences local writes (set_read_only).
 
   /// Commit hook for WAL shipping: invoked under the exclusive writer lock
-  /// with each statement's LSN-stamped records, in commit order (WAL order
-  /// == commit order == sink order), right before the local group-commit
-  /// flush. The sink must not call back into this Database. Requires a
-  /// durable store (records are only built when one is attached); pass
-  /// nullptr to detach (a killed leader stops shipping).
-  using WalSink = std::function<void(const std::vector<WalRecord>&)>;
+  /// with each statement's group — the frames the local WAL just buffered —
+  /// in commit order (WAL order == commit order == sink order), right
+  /// before the local group-commit flush. The sink must not call back into
+  /// this Database. Requires a durable store (records are only built when
+  /// one is attached); pass nullptr to detach (a killed leader stops
+  /// shipping).
+  using WalSink = std::function<void(WalGroup)>;
   void set_wal_sink(WalSink sink);
 
-  /// Applies one shipped statement group to this durable replica.
-  /// Records at or below the current LSN are skipped (duplicate delivery is
-  /// idempotent); the first genuinely new record must be exactly next in
-  /// sequence or the whole group is rejected with StateError — an LSN gap
-  /// means shipping skipped something and the follower must be caught up
-  /// from the leader's WAL cursor or re-bootstrapped. Applied records are
-  /// appended verbatim to the replica's own WAL (leader LSNs preserved), so
-  /// the replica's independent crash recovery replays the same history —
-  /// and the leader's commit timestamps are reproduced exactly (ts == the
-  /// commit record's LSN). Touched journal channels are notified after the
-  /// lock drops, exactly like local commits. Returns the replica's LSN
-  /// after the group.
-  std::uint64_t replicate_apply(const std::vector<WalRecord>& group);
+  /// Applies one shipped statement group (the leader's framed WAL bytes)
+  /// to this durable replica; a torn or unterminated group throws
+  /// StateError. Records at or below the current LSN are skipped (duplicate
+  /// delivery is idempotent); the first genuinely new record must be exactly
+  /// next in sequence or the whole group is rejected with StateError — an
+  /// LSN gap means shipping skipped something and the follower must be
+  /// caught up from the leader's WAL cursor or re-bootstrapped. Applied
+  /// frames are appended verbatim to the replica's own WAL (leader LSNs
+  /// preserved, bytes identical), so the replica's independent crash
+  /// recovery replays the same history — and the leader's commit timestamps
+  /// are reproduced exactly (ts == the commit record's LSN). Touched journal
+  /// channels are notified after the lock drops, exactly like local
+  /// commits. Returns the replica's LSN after the group.
+  std::uint64_t replicate_apply(std::string_view group);
 
   /// Write fencing for the follower role: while read-only, every non-SELECT
   /// statement throws StateError mentioning `leader_hint` (redirect-on-
@@ -398,6 +402,25 @@ class Database {
   void stamp_commit_locked(std::uint64_t ts);
   void maybe_reclaim_locked();
   std::size_t reclaim_locked();
+
+  // Snapshot steps (DESIGN.md §11.3), one implementation each.
+  struct CapturedImage {
+    std::string bytes;
+    std::uint64_t last_lsn = 0;  // the commit timestamp the image absorbs
+  };
+  /// Capture + encode (snapshot, snapshot_image): fixes the LSN and pins a
+  /// view under one brief lock hold — flushing the WAL first when asked —
+  /// then serializes the pinned view unlocked.
+  [[nodiscard]] CapturedImage capture_image(bool flush_wal) const;
+  /// Restore (open_durable, install_replica_snapshot): `snapshot` replaces
+  /// the table set, channel revisions and LSN cursor; its rows are moved.
+  void restore_snapshot_locked(SnapshotData& snapshot);
+  /// Publish (snapshot, install_replica_snapshot): temp file + rename, WAL
+  /// truncated through `absorbed` (reset when empty), newest two retained.
+  /// Only a checkpoint (`absorbed` set) crosses the snapshot.* crash
+  /// points. Returns the published sequence number.
+  std::uint64_t publish_snapshot_locked(std::string bytes,
+                                        std::optional<std::uint64_t> absorbed);
 
   /// Creates a table in both the writer map and the reader catalog; the
   /// created_ts stamp waits for commit (readers can't see it earlier).

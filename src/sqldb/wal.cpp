@@ -164,6 +164,7 @@ WalReadResult read_wal(std::string_view bytes) {
       break;  // checksummed but undecodable: treat like corruption
     }
     pos += 8 + length;
+    result.ends.push_back(pos);
   }
   result.valid_bytes = pos;
   result.torn = pos != bytes.size();
@@ -173,14 +174,15 @@ WalReadResult read_wal(std::string_view bytes) {
 std::vector<WalGroup> wal_groups_after(std::string_view bytes, std::uint64_t floor) {
   const WalReadResult wal = read_wal(bytes);
   std::vector<WalGroup> out;
-  WalGroup open;
-  for (const WalRecord& record : wal.records) {
-    if (open.bytes.empty()) open.first_lsn = record.lsn;
-    open.last_lsn = record.lsn;
-    open.bytes += encode_wal_record(record);
-    if (!record.commit) continue;
-    if (open.last_lsn > floor) out.push_back(std::move(open));
-    open = WalGroup{};
+  std::size_t first = 0;  // index of the open group's first record
+  for (std::size_t i = 0; i < wal.records.size(); ++i) {
+    if (!wal.records[i].commit) continue;
+    if (wal.records[i].lsn > floor) {
+      const std::size_t start = wal.frame_start(first);
+      out.push_back(WalGroup{wal.records[first].lsn, wal.records[i].lsn,
+                             std::string(bytes.substr(start, wal.ends[i] - start))});
+    }
+    first = i + 1;
   }
   // An unterminated trailing group was never acknowledged: drop it, exactly
   // as open_durable's replay does.
@@ -188,13 +190,18 @@ std::vector<WalGroup> wal_groups_after(std::string_view bytes, std::uint64_t flo
 }
 
 void WalWriter::append(const WalRecord& record) {
-  if (pending_.empty()) pending_first_lsn_ = record.lsn;
-  pending_last_lsn_ = record.lsn;
-  pending_ += encode_wal_record(record);
+  append_frame(record.lsn, encode_wal_record(record));
+}
+
+void WalWriter::append_frame(std::uint64_t lsn, std::string_view frame) {
+  if (pending_.empty()) pending_first_lsn_ = lsn;
+  pending_last_lsn_ = lsn;
+  pending_ += frame;
   ++records_appended_;
 }
 
 void WalWriter::commit() {
+  statement_start_ = pending_.size();
   ++pending_statements_;
   if (pending_statements_ >= group_commit_) flush();
 }
@@ -228,28 +235,28 @@ void WalWriter::flush() {
   // nothing (the process dies holding a buffer that is already on disk).
   support::crash_point("wal.flush.after");
   pending_.clear();
-  pending_statements_ = 0;
+  statement_start_ = pending_statements_ = 0;
   pending_first_lsn_ = pending_last_lsn_ = 0;
 }
 
 void WalWriter::reset() {
   pending_.clear();
-  pending_statements_ = 0;
+  statement_start_ = pending_statements_ = 0;
   pending_first_lsn_ = pending_last_lsn_ = 0;
   fs_->write_file(path_, "");
 }
 
 void WalWriter::reset_through(std::uint64_t floor) {
   const std::string bytes = fs_->is_file(path_) ? fs_->read_file(path_) : std::string();
-  // Re-encoding a decoded record is byte-identical to its original frame,
-  // so the surviving suffix is exactly the bytes it had before.
+  // LSNs ascend through the file, so what survives is the byte suffix from
+  // the first record above the floor to the end of the valid prefix.
   const WalReadResult wal = read_wal(bytes);
-  std::string surviving;
-  for (const WalRecord& record : wal.records)
-    if (record.lsn > floor) surviving += encode_wal_record(record);
-  if (surviving.size() == bytes.size()) return;  // nothing absorbed
+  std::size_t first = 0;
+  while (first < wal.records.size() && wal.records[first].lsn <= floor) ++first;
+  const std::size_t start = wal.frame_start(first);
+  if (start == 0 && wal.valid_bytes == bytes.size()) return;  // nothing absorbed
   const std::string tmp = path_ + ".tmp";
-  fs_->write_file(tmp, std::move(surviving));
+  fs_->write_file(tmp, bytes.substr(start, wal.valid_bytes - start));
   fs_->rename(tmp, path_);
 }
 

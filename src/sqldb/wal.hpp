@@ -85,8 +85,13 @@ struct WalRecord {
 
 struct WalReadResult {
   std::vector<WalRecord> records;  // every valid record, in file order
+  std::vector<std::size_t> ends;   // ends[i]: offset where records[i]'s frame ends
   std::uint64_t valid_bytes = 0;   // offset where the valid prefix ends
   bool torn = false;               // a partial/corrupt tail was found after valid_bytes
+
+  /// Where records[i]'s frame starts (valid_bytes for i == size()): callers
+  /// slice the original bytes instead of re-encoding a record.
+  [[nodiscard]] std::size_t frame_start(std::size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
 };
 
 /// Decodes a WAL image, stopping cleanly at the first torn or corrupt
@@ -107,9 +112,8 @@ struct WalGroup {
 /// into committed statement groups and returns those whose last LSN is
 /// above `floor` — exactly what a leader ships to a follower acked through
 /// `floor`. A torn tail and a trailing group with no commit marker are
-/// dropped (neither was ever acknowledged). Re-encoding a decoded record is
-/// byte-identical to its original frame, so shipped groups replay the same
-/// way local recovery would.
+/// dropped (neither was ever acknowledged). Each group is a slice of
+/// `bytes`, so shipped groups replay the same way local recovery would.
 [[nodiscard]] std::vector<WalGroup> wal_groups_after(std::string_view bytes,
                                                      std::uint64_t floor);
 
@@ -120,8 +124,15 @@ class WalWriter {
  public:
   WalWriter(vfs::FileSystem& fs, std::string path) : fs_(&fs), path_(std::move(path)) {}
 
-  /// Buffers one record (already LSN-stamped by the caller).
+  /// Buffers one record (already LSN-stamped by the caller): the one place
+  /// a WAL frame is encoded.
   void append(const WalRecord& record);
+  /// Buffers one already-framed record verbatim (a replica's shipped frames).
+  void append_frame(std::uint64_t lsn, std::string_view frame);
+  /// The frames buffered since the last commit(), as they will reach disk.
+  [[nodiscard]] std::string_view statement_bytes() const {
+    return std::string_view(pending_).substr(statement_start_);
+  }
 
   /// Marks the end of one committed statement; flushes when the batch
   /// policy says so. Crash points: "wal.flush.before", "wal.flush.torn",
@@ -143,9 +154,9 @@ class WalWriter {
   /// Empties the buffer and truncates the file (snapshot just absorbed it).
   void reset();
 
-  /// Truncates only what a snapshot absorbed: rewrites the file keeping the
-  /// records with lsn > `floor` (statements that committed while the
-  /// zero-pause checkpoint was serializing). Publication is temp file +
+  /// Truncates only what a snapshot absorbed: rewrites the file as the byte
+  /// suffix of records with lsn > `floor` (statements that committed while
+  /// the zero-pause checkpoint was serializing). Publication is temp file +
   /// atomic rename, so a crash mid-rewrite leaves the old file intact. The
   /// unflushed buffer is untouched — its records are all above the floor by
   /// construction (the checkpoint flushed before fixing it).
@@ -165,6 +176,7 @@ class WalWriter {
   vfs::FileSystem* fs_;
   std::string path_;
   std::string pending_;                 // serialized, unflushed records
+  std::size_t statement_start_ = 0;     // where the uncommitted statement starts in pending_
   std::size_t pending_statements_ = 0;  // commits since last flush
   // LSN range of the buffered records; 0/0 when the buffer is empty. Names
   // the exact records an IO failure left non-durable.

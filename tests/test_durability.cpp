@@ -340,10 +340,16 @@ TEST_F(DurabilityTest, TornWalFlushDropsOnlyTheUnacknowledgedStatement) {
     EXPECT_THROW(db.execute("INSERT INTO t (v) VALUES ('torn')"), CrashError);
   }
   CrashPoints::instance().disarm_all();
+  const std::string wal_path = vfs::join(kDir, sqldb::kWalFileName);
+  const std::string damaged = disk.read_file(wal_path);
   Database recovered;
   const RecoveryReport report = recovered.open_durable(disk, kDir);
   EXPECT_TRUE(report.wal_torn);
   EXPECT_EQ(recovered.dump_state(), committed_dump);
+  // Repair cuts the file back; it never rewrites the surviving records.
+  const std::string repaired = disk.read_file(wal_path);
+  EXPECT_LT(repaired.size(), damaged.size());
+  EXPECT_EQ(damaged.substr(0, repaired.size()), repaired);
 
   // The truncated log is clean again: append, restart, no divergence.
   recovered.execute("INSERT INTO t (v) VALUES ('after')");
@@ -364,12 +370,16 @@ TEST_F(DurabilityTest, BitFlipInWalTruncatesAtLastValidRecord) {
   const std::string wal_path = vfs::join(kDir, sqldb::kWalFileName);
   std::string bytes = disk.read_file(wal_path);
   bytes[bytes.size() * 3 / 4] ^= 0x10;  // bit rot somewhere in the later records
+  const std::string damaged = bytes;
   disk.write_file(wal_path, std::move(bytes));
 
   Database recovered;
   const RecoveryReport report = recovered.open_durable(disk, kDir);
   EXPECT_TRUE(report.wal_torn);
   EXPECT_LT(report.wal_records_replayed, 6u);
+  const std::string repaired = disk.read_file(wal_path);
+  EXPECT_LT(repaired.size(), damaged.size());
+  EXPECT_EQ(damaged.substr(0, repaired.size()), repaired);
   // Whatever survived is a valid prefix: same as replaying that many
   // statements from scratch.
   const auto rows = recovered.execute("SELECT id FROM t ORDER BY id");

@@ -62,7 +62,7 @@ struct BareLeader {
 
 // --- codec -------------------------------------------------------------------
 
-TEST_F(ReplicationTest, ShipmentAndAckRoundTripAndRejectTruncation) {
+TEST_F(ReplicationTest, ShipmentRoundTripsAndRejectsTruncation) {
   Shipment shipment;
   shipment.epoch = 7;
   shipment.groups = {"alpha", std::string("\x00\x01z", 3), ""};
@@ -71,12 +71,6 @@ TEST_F(ReplicationTest, ShipmentAndAckRoundTripAndRejectTruncation) {
   EXPECT_EQ(back.epoch, 7u);
   EXPECT_EQ(back.groups, shipment.groups);
   EXPECT_THROW(replication::decode_shipment(wire.substr(0, wire.size() - 2)), ParseError);
-
-  const Ack ack{9, 123, true, ""};
-  const Ack ack_back = replication::decode_ack(replication::encode_ack(ack));
-  EXPECT_EQ(ack_back.epoch, 9u);
-  EXPECT_EQ(ack_back.last_lsn, 123u);
-  EXPECT_TRUE(ack_back.accepted);
 }
 
 // --- shipping + replay -------------------------------------------------------
@@ -105,6 +99,51 @@ TEST_F(ReplicationTest, FollowerReplaysShippedCommitsByteIdentically) {
   leader.insert("tail");
   cp.pump();
   EXPECT_EQ(follower.db().dump_state(), leader.db.dump_state());
+}
+
+TEST_F(ReplicationTest, FollowerWalIsByteIdenticalToTheLeaders) {
+  netsim::Simulator sim;
+  BareLeader leader;
+  ControlPlane cp(sim);
+  cp.lead(leader.db, "leader");
+  cp.add_follower(FollowerConfig{.name = "replica-a"});
+
+  for (int i = 0; i < 6; ++i) leader.insert("row");
+  cp.pump();
+  leader.db.execute("UPDATE t SET v = 'updated' WHERE id > 2");  // a multi-record group
+  leader.db.execute("DELETE FROM t WHERE id = 4");
+  cp.pump();
+  leader.db.execute("DELETE FROM t WHERE id < 3");
+  leader.insert("tail");
+  cp.pump();
+
+  // Shipped frames are appended as written: the replica's log is the
+  // leader's, byte for byte.
+  leader.db.wal_flush();
+  const std::string leader_wal = leader.db.wal_image();
+  ASSERT_FALSE(leader_wal.empty());
+  EXPECT_EQ(cp.follower(0).db().wal_image(), leader_wal);
+  EXPECT_EQ(cp.follower(0).db().dump_state(), leader.db.dump_state());
+}
+
+TEST_F(ReplicationTest, LeadShipsTheUnflushedGroupCommitTail) {
+  netsim::Simulator sim;
+  BareLeader leader;
+  leader.db.set_wal_group_commit(8);
+  for (int i = 0; i < 3; ++i) leader.insert("buffered");  // not yet on disk
+  ControlPlane cp(sim, ControlPlaneConfig{.mode = CommitMode::kQuorum});
+  cp.lead(leader.db, "leader");
+  cp.add_follower(FollowerConfig{.name = "replica-a"});
+  leader.insert("after lead");
+
+  // The ship log holds every committed statement, so the first barrier
+  // ships a gapless stream: no refusal, no snapshot bootstrap.
+  EXPECT_NO_THROW(cp.commit_barrier());
+  const auto status = cp.status();
+  EXPECT_EQ(status.quorum_failures, 0u);
+  EXPECT_EQ(status.bootstraps, 0u);
+  EXPECT_EQ(cp.follower(0).last_lsn(), leader.db.last_lsn());
+  EXPECT_EQ(cp.follower(0).db().dump_state(), leader.db.dump_state());
 }
 
 TEST_F(ReplicationTest, DuplicateDeliveryIsIdempotent) {
