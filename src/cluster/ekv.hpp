@@ -69,7 +69,9 @@ class EkvConsole {
   [[nodiscard]] std::string screen(std::size_t tail = 8) const;
 
  private:
-  static constexpr std::size_t kLineCap = 4096;
+  // Only screen() reads the retained lines (its tail defaults to 8); every
+  // node holds this log, so a long cap costs RSS in proportion to installs.
+  static constexpr std::size_t kLineCap = 64;
   std::string node_name_;
   support::ChannelLog<EkvLine> lines_{kLineCap};
   EkvProgress progress_;

@@ -43,7 +43,9 @@ class SyslogBus {
   [[nodiscard]] std::size_t total_published() const { return log_.seq({}); }
 
  private:
-  static constexpr std::size_t kLogCap = 100000;
+  // Listeners see every message live; the retained tail is only for
+  // recent(). A longer cap grows RSS with every message published.
+  static constexpr std::size_t kLogCap = 1024;
   support::ChannelLog<SyslogMessage> log_{kLogCap};
 };
 

@@ -70,7 +70,7 @@ Ack Follower::apply_shipment(const Shipment& shipment) {
   }
   epoch_ = shipment.epoch;
 
-  for (const std::string& group : shipment.groups) {
+  for (const std::string_view group : shipment.groups) {
     try {
       db_.replicate_apply(group);
     } catch (const Error& error) {

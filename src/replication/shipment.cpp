@@ -8,7 +8,7 @@ std::string encode_shipment(const Shipment& shipment) {
   support::BinaryWriter out;
   out.u64(shipment.epoch);
   out.u32(static_cast<std::uint32_t>(shipment.groups.size()));
-  for (const std::string& group : shipment.groups) out.str(group);
+  for (const std::string_view group : shipment.groups) out.str(group);
   return out.take();
 }
 
@@ -18,7 +18,7 @@ Shipment decode_shipment(std::string_view bytes) {
   shipment.epoch = in.u64();
   const std::uint32_t count = in.u32();
   shipment.groups.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) shipment.groups.emplace_back(in.str());
+  for (std::uint32_t i = 0; i < count; ++i) shipment.groups.push_back(in.str());
   return shipment;
 }
 

@@ -12,6 +12,13 @@
 // promotion path uses it to fence a resurrected stale leader before any
 // data moves.
 //
+// A Shipment owns none of its group bytes; each group is a view. On the
+// leader the views point into the ship-log copy ControlPlane::pump() holds
+// until every delivery of that pump returns. After decode_shipment they
+// point into the wire bytes, so the caller keeps the wire alive until the
+// apply is done (Follower::handle_shipment applies before it returns).
+// Encoding copies each group once, into the wire; nothing else copies.
+//
 // The Ack carries the follower's epoch and durable LSN after the apply. It
 // is returned in-process and never crosses a link, so it has no wire form.
 // `accepted == false` distinguishes two refusals the leader treats very
@@ -29,8 +36,9 @@ namespace rocks::replication {
 
 struct Shipment {
   std::uint64_t epoch = 0;
-  /// Framed WAL bytes of whole committed statements, oldest first.
-  std::vector<std::string> groups;
+  /// Framed WAL bytes of whole committed statements, oldest first. Views:
+  /// see the lifetime rule above.
+  std::vector<std::string_view> groups;
 };
 
 struct Ack {
@@ -42,7 +50,8 @@ struct Ack {
 
 [[nodiscard]] std::string encode_shipment(const Shipment& shipment);
 /// Throws ParseError on a truncated or corrupt envelope (the per-record WAL
-/// CRCs are checked later, by Database::replicate_apply).
+/// CRCs are checked later, by Database::replicate_apply). The groups are
+/// views into `bytes`.
 [[nodiscard]] Shipment decode_shipment(std::string_view bytes);
 
 }  // namespace rocks::replication

@@ -12,16 +12,17 @@ void RpmDatabase::install(const Package& package, vfs::FileSystem& fs) {
 
   const std::uint64_t per_file =
       package.files.empty() ? 0 : package.size_bytes / package.files.size();
+  // Content records the owning package version so drift detection can see
+  // when a file belongs to a different build.
+  const std::string content = strings::cat("%", package.nevra(), "%\n");
   for (std::size_t i = 0; i < package.files.size(); ++i) {
     const std::string& path = package.files[i];
     fs.mkdir_p(vfs::dirname(path));
-    // Content records the owning package version so drift detection can see
-    // when a file belongs to a different build.
     const std::uint64_t payload =
         i + 1 == package.files.size()
             ? package.size_bytes - per_file * (package.files.size() - 1)
             : per_file;
-    fs.write_file(path, strings::cat("%", package.nevra(), "%\n"), payload);
+    fs.write_file(path, content, payload);
   }
   installed_.insert_or_assign(package.name, package);
 }

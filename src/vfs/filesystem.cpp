@@ -20,85 +20,176 @@ std::uint64_t blocks_for(std::uint64_t bytes) {
 
 }  // namespace
 
+class FileSystem::Walk {
+ public:
+  enum Mode {
+    kFollow,    // follow every symlink, the final one included
+    kNoFollow,  // stop at a final symlink (lstat, readlink)
+    kParent,    // resolve all but the final component, which is not looked up
+    kCreate,    // kFollow, creating each missing directory the argument names
+  };
+
+  /// A real node on the resolved path and its name in its parent's entries.
+  struct Frame {
+    Node* node;
+    std::string_view name;
+  };
+
+  /// Walks `path` from the root of `fs`. Const so queries can walk; only
+  /// mkdir_p, which is not, passes kCreate.
+  Walk(const FileSystem& fs, std::string_view path, Mode mode);
+  Walk(const Walk&) = delete;
+  Walk& operator=(const Walk&) = delete;
+
+  /// The parent directory of a kParent walk. Throws IoError for "/" or when
+  /// the parent does not resolve to a directory.
+  [[nodiscard]] Node& parent() const;
+  /// The real path spelled by `chain`.
+  [[nodiscard]] std::string real_path() const;
+
+  std::string_view norm;  // the normalized argument
+  /// What the path names (kParent: the directory meant to hold `leaf`), or
+  /// nullptr when a component is missing, a non-final component is not a
+  /// directory, or more than kMaxSymlinkHops symlinks were followed.
+  Node* node = nullptr;
+  std::string_view leaf;     // kParent: the final component
+  std::vector<Frame> chain;  // root first; every entry but the last is a directory
+
+ private:
+  /// Splices a symlink's target in front of the unconsumed components.
+  std::string_view reroot(std::string_view target, std::string_view rest);
+  /// The argument up to and including its last consumed component, given
+  /// the length of its unconsumed tail (names mkdir_p's errors).
+  [[nodiscard]] std::string_view consumed(std::size_t unconsumed) const;
+
+  std::string norm_buf_;  // owns `norm` when the argument was not normal
+  std::string link_buf_;  // owns the components left after the latest symlink
+};
+
+FileSystem::Walk::Walk(const FileSystem& fs, std::string_view path, Mode mode) {
+  if (is_normal(path)) {
+    norm = path;
+  } else {
+    norm_buf_ = normalize(path);
+    norm = norm_buf_;
+  }
+  chain.reserve(16);
+  chain.push_back({fs.root_.get(), {}});
+  // `rest` always ends with the argument's own unconsumed components, which
+  // are `unconsumed` bytes long; anything before them came from symlink
+  // targets. Only the argument's components may be created.
+  std::string_view rest = norm.substr(1);
+  std::size_t unconsumed = rest.size();
+  int hops = 0;
+  while (!rest.empty()) {
+    const bool from_argument = rest.size() == unconsumed;
+    const std::size_t slash = rest.find('/');
+    const std::string_view part = rest.substr(0, slash);
+    rest = slash == std::string_view::npos ? std::string_view() : rest.substr(slash + 1);
+    if (from_argument) unconsumed = rest.size();
+    const bool last = rest.empty();
+    Node* dir = chain.back().node;
+    if (last && mode == kParent) {
+      node = dir;
+      leaf = part;
+      return;
+    }
+    auto it = dir->entries.find(part);
+    if (it == dir->entries.end()) {
+      if (mode != kCreate) return;
+      // A missing component of a symlink target means the link dangles, and
+      // a link occupies the name mkdir would need.
+      if (!from_argument)
+        throw IoError(strings::cat("mkdir: path exists: ", consumed(unconsumed)));
+      auto fresh = std::make_unique<Node>();
+      fresh->type = NodeType::kDirectory;
+      it = dir->entries.emplace(std::string(part), std::move(fresh)).first;
+    }
+    Node* next = it->second.get();
+    if (next->type == NodeType::kSymlink && (!last || mode != kNoFollow)) {
+      if (++hops > kMaxSymlinkHops) {
+        if (mode == kCreate)
+          throw IoError(strings::cat("mkdir: path exists: ", consumed(unconsumed)));
+        return;
+      }
+      rest = reroot(next->link_target, rest);
+      continue;
+    }
+    if (!last && next->type != NodeType::kDirectory) {
+      if (mode != kCreate) return;
+      if (rest.size() == unconsumed)
+        throw IoError(strings::cat("mkdir_p: not a directory: ", consumed(unconsumed)));
+      throw IoError(strings::cat("mkdir: path exists: ", consumed(unconsumed)));
+    }
+    chain.push_back({next, it->first});
+  }
+  node = chain.back().node;
+  if (mode == kCreate && node->type != NodeType::kDirectory)
+    throw IoError(strings::cat("mkdir_p: not a directory: ", norm));
+}
+
+std::string_view FileSystem::Walk::reroot(std::string_view target, std::string_view rest) {
+  // Lexical, like normalize: a ".." that climbs out of the target leaves the
+  // link's directory for its real parent, clamped at "/".
+  if (!target.empty() && target.front() == '/') chain.resize(1);
+  std::string spliced;
+  for (std::size_t up = append_lexically(spliced, target); up > 0 && chain.size() > 1; --up)
+    chain.pop_back();
+  if (!rest.empty()) {
+    spliced += '/';
+    spliced += rest;
+  }
+  link_buf_ = std::move(spliced);  // `rest` may point into the old buffer
+  return std::string_view(link_buf_).substr(link_buf_.empty() ? 0 : 1);
+}
+
+std::string_view FileSystem::Walk::consumed(std::size_t unconsumed) const {
+  return unconsumed == 0 ? norm : norm.substr(0, norm.size() - unconsumed - 1);
+}
+
+FileSystem::Node& FileSystem::Walk::parent() const {
+  if (norm == "/") throw IoError("operation on '/' is not permitted");
+  if (node == nullptr) {
+    const std::size_t slash = norm.rfind('/');
+    throw IoError(strings::cat("parent directory missing: ",
+                               slash == 0 ? std::string_view("/") : norm.substr(0, slash)));
+  }
+  return *node;
+}
+
+std::string FileSystem::Walk::real_path() const {
+  if (chain.size() == 1) return "/";
+  std::string out;
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    out += '/';
+    out += chain[i].name;
+  }
+  return out;
+}
+
 FileSystem::FileSystem() : root_(std::make_unique<Node>()) {
   root_->type = NodeType::kDirectory;
 }
 
-const FileSystem::Node* FileSystem::find(std::string_view path, bool follow_final) const {
-  std::string current = normalize(path);
-  int hops = 0;
-  while (true) {
-    const Node* node = root_.get();
-    std::string resolved = "/";
-    const auto parts = components(current);
-    bool restart = false;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (node->type != NodeType::kDirectory) return nullptr;
-      const auto it = node->entries.find(parts[i]);
-      if (it == node->entries.end()) return nullptr;
-      const Node* next = it->second.get();
-      const bool is_final = (i + 1 == parts.size());
-      if (next->type == NodeType::kSymlink && (!is_final || follow_final)) {
-        if (++hops > kMaxSymlinkHops) return nullptr;
-        // Re-root: target relative to the symlink's directory, plus the
-        // remaining unconsumed components.
-        std::string rebased = join(resolved, next->link_target);
-        for (std::size_t j = i + 1; j < parts.size(); ++j) rebased = join(rebased, parts[j]);
-        current = rebased;
-        restart = true;
-        break;
-      }
-      resolved = join(resolved, parts[i]);
-      node = next;
-    }
-    if (!restart) return node;
-  }
-}
-
-FileSystem::Node* FileSystem::find_mutable(std::string_view path, bool follow_final) {
-  return const_cast<Node*>(std::as_const(*this).find(path, follow_final));
-}
-
-FileSystem::Node* FileSystem::parent_of(std::string_view path, std::string& leaf_name) {
-  const std::string norm = normalize(path);
-  if (norm == "/") throw IoError("operation on '/' is not permitted");
-  leaf_name = basename(norm);
-  Node* parent = find_mutable(dirname(norm), /*follow_final=*/true);
-  if (parent == nullptr || parent->type != NodeType::kDirectory)
-    throw IoError(strings::cat("parent directory missing: ", dirname(norm)));
-  return parent;
-}
-
 void FileSystem::mkdir(std::string_view path) {
-  std::string leaf;
-  Node* parent = parent_of(path, leaf);
-  if (parent->entries.contains(leaf))
-    throw IoError(strings::cat("mkdir: path exists: ", normalize(path)));
+  const Walk walk(*this, path, Walk::kParent);
+  Node& parent = walk.parent();
+  if (parent.entries.contains(walk.leaf))
+    throw IoError(strings::cat("mkdir: path exists: ", walk.norm));
   auto node = std::make_unique<Node>();
   node->type = NodeType::kDirectory;
-  parent->entries.emplace(leaf, std::move(node));
+  parent.entries.emplace(std::string(walk.leaf), std::move(node));
 }
 
-void FileSystem::mkdir_p(std::string_view path) {
-  std::string built = "/";
-  for (const auto& part : components(path)) {
-    built = join(built, part);
-    const Node* existing = find(built, /*follow_final=*/true);
-    if (existing == nullptr) {
-      mkdir(built);
-    } else if (existing->type != NodeType::kDirectory) {
-      throw IoError(strings::cat("mkdir_p: not a directory: ", built));
-    }
-  }
-}
+void FileSystem::mkdir_p(std::string_view path) { const Walk walk(*this, path, Walk::kCreate); }
 
 std::vector<std::string> FileSystem::list(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/true);
-  if (node == nullptr || node->type != NodeType::kDirectory)
-    throw IoError(strings::cat("list: not a directory: ", normalize(path)));
+  const Walk walk(*this, path, Walk::kFollow);
+  if (walk.node == nullptr || walk.node->type != NodeType::kDirectory)
+    throw IoError(strings::cat("list: not a directory: ", walk.norm));
   std::vector<std::string> names;
-  names.reserve(node->entries.size());
-  for (const auto& [name, child] : node->entries) names.push_back(name);
+  names.reserve(walk.node->entries.size());
+  for (const auto& [name, child] : walk.node->entries) names.push_back(name);
   return names;
 }
 
@@ -123,152 +214,135 @@ void FileSystem::check_write_fault(std::string_view path) {
 void FileSystem::write_file(std::string_view path, std::string content,
                             std::uint64_t payload_size, std::uint64_t content_hash_hint) {
   check_write_fault(path);
-  std::string leaf;
-  Node* parent = parent_of(path, leaf);
-  auto& slot = parent->entries[leaf];
-  if (slot != nullptr && slot->type == NodeType::kDirectory)
-    throw IoError(strings::cat("write_file: is a directory: ", normalize(path)));
-  if (slot == nullptr) slot = std::make_unique<Node>();
-  slot->type = NodeType::kFile;
-  slot->content = std::move(content);
-  slot->payload = payload_size;
-  slot->link_target.clear();
-  slot->entries.clear();
+  const Walk walk(*this, path, Walk::kParent);
+  Dir& entries = walk.parent().entries;
+  auto it = entries.find(walk.leaf);
+  if (it == entries.end()) {
+    it = entries.emplace(std::string(walk.leaf), std::make_unique<Node>()).first;
+  } else if (it->second->type == NodeType::kDirectory) {
+    throw IoError(strings::cat("write_file: is a directory: ", walk.norm));
+  }
+  // A final symlink is replaced, not followed.
+  Node& slot = *it->second;
+  slot.type = NodeType::kFile;
+  slot.content = std::move(content);
+  slot.payload = payload_size;
+  slot.link_target.clear();
+  slot.entries.clear();
   // Trust the caller's digest when offered; otherwise the first file_hash
   // computes and memoizes it.
-  slot->hash_cache.store(content_hash_hint, std::memory_order_relaxed);
+  slot.hash_cache.store(content_hash_hint, std::memory_order_relaxed);
 }
 
 void FileSystem::append_file(std::string_view path, std::string_view content) {
   check_write_fault(path);
-  Node* node = find_mutable(path, /*follow_final=*/true);
-  if (node == nullptr) {
+  const Walk walk(*this, path, Walk::kFollow);
+  if (walk.node == nullptr) {
     write_file(path, std::string(content));
     return;
   }
-  if (node->type != NodeType::kFile)
-    throw IoError(strings::cat("append_file: not a file: ", normalize(path)));
-  node->content += content;
-  node->hash_cache.store(0, std::memory_order_relaxed);
+  if (walk.node->type != NodeType::kFile)
+    throw IoError(strings::cat("append_file: not a file: ", walk.norm));
+  walk.node->content += content;
+  walk.node->hash_cache.store(0, std::memory_order_relaxed);
 }
 
 const std::string& FileSystem::read_file(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/true);
-  if (node == nullptr || node->type != NodeType::kFile)
-    throw IoError(strings::cat("read_file: no such file: ", normalize(path)));
-  return node->content;
+  const Walk walk(*this, path, Walk::kFollow);
+  if (walk.node == nullptr || walk.node->type != NodeType::kFile)
+    throw IoError(strings::cat("read_file: no such file: ", walk.norm));
+  return walk.node->content;
 }
 
 void FileSystem::symlink(std::string_view target, std::string_view path) {
-  std::string leaf;
-  Node* parent = parent_of(path, leaf);
-  if (parent->entries.contains(leaf))
-    throw IoError(strings::cat("symlink: path exists: ", normalize(path)));
+  const Walk walk(*this, path, Walk::kParent);
+  Node& parent = walk.parent();
+  if (parent.entries.contains(walk.leaf))
+    throw IoError(strings::cat("symlink: path exists: ", walk.norm));
   auto node = std::make_unique<Node>();
   node->type = NodeType::kSymlink;
   node->link_target = std::string(target);
-  parent->entries.emplace(leaf, std::move(node));
+  parent.entries.emplace(std::string(walk.leaf), std::move(node));
 }
 
 std::string FileSystem::readlink(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/false);
-  if (node == nullptr || node->type != NodeType::kSymlink)
-    throw IoError(strings::cat("readlink: not a symlink: ", normalize(path)));
-  return node->link_target;
+  const Walk walk(*this, path, Walk::kNoFollow);
+  if (walk.node == nullptr || walk.node->type != NodeType::kSymlink)
+    throw IoError(strings::cat("readlink: not a symlink: ", walk.norm));
+  return walk.node->link_target;
 }
 
 bool FileSystem::exists(std::string_view path) const {
-  return find(path, /*follow_final=*/true) != nullptr;
+  return Walk(*this, path, Walk::kFollow).node != nullptr;
 }
 
 bool FileSystem::is_file(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/true);
+  const Node* node = Walk(*this, path, Walk::kFollow).node;
   return node != nullptr && node->type == NodeType::kFile;
 }
 
 bool FileSystem::is_directory(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/true);
+  const Node* node = Walk(*this, path, Walk::kFollow).node;
   return node != nullptr && node->type == NodeType::kDirectory;
 }
 
 bool FileSystem::is_symlink(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/false);
+  const Node* node = Walk(*this, path, Walk::kNoFollow).node;
   return node != nullptr && node->type == NodeType::kSymlink;
 }
 
 std::optional<Stat> FileSystem::lstat(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/false);
+  const Node* node = Walk(*this, path, Walk::kNoFollow).node;
   if (node == nullptr) return std::nullopt;
   return Stat{node->type, node->content.size() + node->payload, node->link_target};
 }
 
 std::optional<std::string> FileSystem::resolve(std::string_view path) const {
-  // Walk component by component, following symlinks, recording the real path.
-  std::string current = normalize(path);
-  int hops = 0;
-  std::string resolved = "/";
-  auto parts = components(current);
-  const Node* node = root_.get();
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (node->type != NodeType::kDirectory) return std::nullopt;
-    const auto it = node->entries.find(parts[i]);
-    if (it == node->entries.end()) return std::nullopt;
-    const Node* next = it->second.get();
-    if (next->type == NodeType::kSymlink) {
-      if (++hops > kMaxSymlinkHops) return std::nullopt;
-      std::string rebased = join(resolved, next->link_target);
-      for (std::size_t j = i + 1; j < parts.size(); ++j) rebased = join(rebased, parts[j]);
-      parts = components(rebased);
-      // Not `resolved = "/"`: GCC 12's inlined char*-assignment trips a
-      // -Wrestrict false positive (PR105329) under -O3.
-      resolved.clear();
-      resolved.push_back('/');
-      node = root_.get();
-      i = static_cast<std::size_t>(-1);
-      continue;
-    }
-    resolved = join(resolved, parts[i]);
-    node = next;
-  }
-  return resolved;
+  const Walk walk(*this, path, Walk::kFollow);
+  if (walk.node == nullptr) return std::nullopt;
+  return walk.real_path();
 }
 
 bool FileSystem::remove(std::string_view path) {
-  std::string leaf;
-  const std::string norm = normalize(path);
-  if (norm == "/") throw IoError("remove: cannot remove '/'");
-  Node* parent = find_mutable(dirname(norm), /*follow_final=*/true);
-  if (parent == nullptr || parent->type != NodeType::kDirectory) return false;
-  return parent->entries.erase(basename(norm)) > 0;
+  const Walk walk(*this, path, Walk::kParent);
+  if (walk.norm == "/") throw IoError("remove: cannot remove '/'");
+  if (walk.node == nullptr) return false;
+  const auto it = walk.node->entries.find(walk.leaf);
+  if (it == walk.node->entries.end()) return false;
+  walk.node->entries.erase(it);
+  return true;
 }
 
 void FileSystem::rename(std::string_view from, std::string_view to) {
-  const std::string src = normalize(from);
-  const std::string dst = normalize(to);
-  if (src == dst) return;
-  // A directory cannot move under itself (the subtree would orphan).
-  if (is_within(dst, src))
-    throw IoError(strings::cat("rename: cannot move ", src, " into itself at ", dst));
+  const Walk src(*this, from, Walk::kParent);
+  const Walk dst(*this, to, Walk::kParent);
+  if (src.norm == dst.norm) return;
+  // A directory cannot move under itself (the subtree would orphan): not
+  // lexically, and not through a symlink on the destination's path.
+  const auto into_itself = [&] {
+    return IoError(strings::cat("rename: cannot move ", src.norm, " into itself at ", dst.norm));
+  };
+  if (is_within(dst.norm, src.norm)) throw into_itself();
 
-  std::string src_leaf;
-  Node* src_parent = parent_of(src, src_leaf);
-  const auto src_it = src_parent->entries.find(src_leaf);
-  if (src_it == src_parent->entries.end())
-    throw IoError(strings::cat("rename: no such path: ", src));
+  Dir& src_entries = src.parent().entries;
+  const auto src_it = src_entries.find(src.leaf);
+  if (src_it == src_entries.end())
+    throw IoError(strings::cat("rename: no such path: ", src.norm));
 
-  // Resolve the destination parent *before* detaching the source so a
-  // failure here leaves the tree untouched.
-  std::string dst_leaf;
-  Node* dst_parent = parent_of(dst, dst_leaf);
-  const auto dst_it = dst_parent->entries.find(dst_leaf);
-  if (dst_it != dst_parent->entries.end() && dst_it->second->type == NodeType::kDirectory)
-    throw IoError(strings::cat("rename: destination is a directory: ", dst));
+  // Check the destination *before* detaching the source so a failure here
+  // leaves the tree untouched.
+  Dir& dst_entries = dst.parent().entries;
+  const auto dst_it = dst_entries.find(dst.leaf);
+  if (dst_it != dst_entries.end() && dst_it->second->type == NodeType::kDirectory)
+    throw IoError(strings::cat("rename: destination is a directory: ", dst.norm));
+  for (const Walk::Frame& frame : dst.chain)
+    if (frame.node == src_it->second.get()) throw into_itself();
 
   // The swap itself is the atomic step: detach, then attach-or-replace.
   // (Both maps are ours; no observer can interleave within this call.)
   std::unique_ptr<Node> node = std::move(src_it->second);
-  src_parent->entries.erase(src_it);
-  dst_parent->entries[dst_leaf] = std::move(node);
+  src_entries.erase(src_it);
+  dst_entries.insert_or_assign(std::string(dst.leaf), std::move(node));
 }
 
 void FileSystem::walk_node(const std::string& path, const Node& node,
@@ -284,9 +358,9 @@ void FileSystem::walk_node(const std::string& path, const Node& node,
 
 void FileSystem::walk(std::string_view root,
                       const std::function<void(const std::string&, const Stat&)>& visit) const {
-  const Node* node = find(root, /*follow_final=*/true);
-  if (node == nullptr) throw IoError(strings::cat("walk: no such path: ", normalize(root)));
-  walk_node(normalize(root), *node, visit);
+  const Walk walk(*this, root, Walk::kFollow);
+  if (walk.node == nullptr) throw IoError(strings::cat("walk: no such path: ", walk.norm));
+  walk_node(std::string(walk.norm), *walk.node, visit);
 }
 
 std::uint64_t FileSystem::disk_usage(std::string_view root) const {
@@ -340,9 +414,10 @@ std::uint64_t content_hash(std::string_view content) {
 }
 
 std::uint64_t FileSystem::file_hash(std::string_view path) const {
-  const Node* node = find(path, /*follow_final=*/true);
+  const Walk walk(*this, path, Walk::kFollow);
+  const Node* node = walk.node;
   if (node == nullptr || node->type != NodeType::kFile)
-    throw IoError(strings::cat("file_hash: no such file: ", normalize(path)));
+    throw IoError(strings::cat("file_hash: no such file: ", walk.norm));
   std::uint64_t hash = node->hash_cache.load(std::memory_order_relaxed);
   if (hash == 0) {  // 0 doubles as "not cached"; a genuine 0 just recomputes
     hash = content_hash(node->content);
@@ -369,20 +444,18 @@ void FileSystem::wipe_root_partition() {
   // Detach preserved subtrees, clear the root, reattach.
   std::vector<std::pair<std::string, std::unique_ptr<Node>>> preserved;
   for (const auto& mount : partitions_) {
-    Node* node = find_mutable(mount, /*follow_final=*/false);
-    if (node == nullptr) continue;
-    std::string leaf;
-    Node* parent = parent_of(mount, leaf);
-    auto it = parent->entries.find(leaf);
+    const Walk walk(*this, mount, Walk::kParent);
+    if (walk.node == nullptr) continue;
+    const auto it = walk.node->entries.find(walk.leaf);
+    if (it == walk.node->entries.end()) continue;
     preserved.emplace_back(mount, std::move(it->second));
-    parent->entries.erase(it);
+    walk.node->entries.erase(it);
   }
   root_->entries.clear();
   for (auto& [mount, node] : preserved) {
     mkdir_p(dirname(mount));
-    std::string leaf;
-    Node* parent = parent_of(mount, leaf);
-    parent->entries.emplace(leaf, std::move(node));
+    const Walk walk(*this, mount, Walk::kParent);
+    walk.parent().entries.emplace(std::string(walk.leaf), std::move(node));
   }
 }
 
@@ -402,19 +475,19 @@ void FileSystem::copy_node(const Node& src, Node& dst) {
 }
 
 void FileSystem::copy_tree(const FileSystem& from, std::string_view src, std::string_view dst) {
-  const Node* src_node = from.find(src, /*follow_final=*/true);
+  const Node* src_node = Walk(from, src, Walk::kFollow).node;
   if (src_node == nullptr) throw IoError(strings::cat("copy_tree: no such path: ", src));
-  mkdir_p(dirname(normalize(dst)));
-  std::string leaf;
-  Node* parent = parent_of(dst, leaf);
+  const std::string target = normalize(dst);
+  mkdir_p(dirname(target));
+  const Walk walk(*this, target, Walk::kParent);
   auto copy = std::make_unique<Node>();
   copy_node(*src_node, *copy);
-  parent->entries[leaf] = std::move(copy);
+  walk.parent().entries.insert_or_assign(std::string(walk.leaf), std::move(copy));
 }
 
 void FileSystem::link_tree(const FileSystem& from, std::string_view src, std::string_view dst,
                            std::string_view link_prefix) {
-  const Node* src_node = from.find(src, /*follow_final=*/true);
+  const Node* src_node = Walk(from, src, Walk::kFollow).node;
   if (src_node == nullptr || src_node->type != NodeType::kDirectory)
     throw IoError(strings::cat("link_tree: no such directory: ", src));
   mkdir_p(dst);
@@ -424,7 +497,7 @@ void FileSystem::link_tree(const FileSystem& from, std::string_view src, std::st
     if (child->type == NodeType::kDirectory) {
       link_tree(from, join(src, name), child_dst, child_link);
     } else {
-      if (exists(child_dst)) remove(child_dst);
+      remove(child_dst);  // no follow: a dangling link is replaced too
       symlink(child_link, child_dst);
     }
   }

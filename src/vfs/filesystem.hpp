@@ -104,7 +104,8 @@ class FileSystem {
   /// publication and config-file writes go through a temp file plus
   /// rename so a crash mid-write never exposes partial content. Throws
   /// IoError when `from` is missing, `to` is an existing directory, the
-  /// destination parent is missing, or a directory would move into itself.
+  /// destination parent is missing, or a directory would move into itself
+  /// (also when `to`'s parent reaches it through a symlink).
   void rename(std::string_view from, std::string_view to);
 
   // --- traversal & accounting ----------------------------------------------
@@ -158,13 +159,15 @@ class FileSystem {
 
   /// Mirrors `src` (in `from`) into `dst` as a tree of directories whose
   /// files become symlinks pointing into `link_prefix` — the structure
-  /// rocks-dist builds for derived distributions (§6.2.3, Figure 6).
+  /// rocks-dist builds for derived distributions (§6.2.3, Figure 6). An
+  /// existing entry at a link's name, dangling symlinks included, is replaced.
   void link_tree(const FileSystem& from, std::string_view src, std::string_view dst,
                  std::string_view link_prefix);
 
  private:
   struct Node;
-  using Dir = std::map<std::string, std::unique_ptr<Node>>;
+  // Transparent comparator: walks look components up by string_view.
+  using Dir = std::map<std::string, std::unique_ptr<Node>, std::less<>>;
 
   struct Node {
     NodeType type = NodeType::kFile;
@@ -178,9 +181,10 @@ class FileSystem {
     mutable std::atomic<std::uint64_t> hash_cache{0};
   };
 
-  [[nodiscard]] const Node* find(std::string_view path, bool follow_final) const;
-  [[nodiscard]] Node* find_mutable(std::string_view path, bool follow_final);
-  [[nodiscard]] Node* parent_of(std::string_view path, std::string& leaf_name);
+  /// One resolution of one path argument: the only place symlinks are
+  /// followed (DESIGN.md §17). Defined in filesystem.cpp.
+  class Walk;
+
   void walk_node(const std::string& path, const Node& node,
                  const std::function<void(const std::string&, const Stat&)>& visit) const;
   static void copy_node(const Node& src, Node& dst);

@@ -6,9 +6,17 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace rocks::vfs {
+
+/// True when `path` is already in normal form: absolute, with no empty,
+/// "." or ".." component and no trailing slash (except "/" itself).
+[[nodiscard]] bool is_normal(std::string_view path);
+
+/// Appends the components of `path` to `out` in "/a/b" form, applying "."
+/// and ".." lexically (a ".." removes the last component appended). Returns
+/// how many ".." found `out` empty, i.e. climbed above where it started.
+std::size_t append_lexically(std::string& out, std::string_view path);
 
 /// Normalizes `path` ("/a//b/./c/.." -> "/a/b"). A relative input is
 /// interpreted against "/". ".." at the root is clamped to the root.
@@ -22,9 +30,6 @@ namespace rocks::vfs {
 
 /// Final component ("/a/b" -> "b"; "/" -> "").
 [[nodiscard]] std::string basename(std::string_view path);
-
-/// Path components of a normalized path ("/a/b" -> {"a","b"}; "/" -> {}).
-[[nodiscard]] std::vector<std::string> components(std::string_view path);
 
 /// True when `path` equals `ancestor` or lies beneath it.
 [[nodiscard]] bool is_within(std::string_view path, std::string_view ancestor);

@@ -65,7 +65,8 @@ struct BareLeader {
 TEST_F(ReplicationTest, ShipmentRoundTripsAndRejectsTruncation) {
   Shipment shipment;
   shipment.epoch = 7;
-  shipment.groups = {"alpha", std::string("\x00\x01z", 3), ""};
+  const std::string binary("\x00\x01z", 3);  // groups are views: keep the bytes alive
+  shipment.groups = {"alpha", binary, ""};
   const std::string wire = replication::encode_shipment(shipment);
   const Shipment back = replication::decode_shipment(wire);
   EXPECT_EQ(back.epoch, 7u);
