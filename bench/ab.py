@@ -2,7 +2,7 @@
 """A/B driver: the working tree against a base commit, on one rocksbench workload.
 
     python3 bench/ab.py --workload cluster_reinstall [--base HEAD~1] [--pairs 10]
-                        [--seconds 20] [--seed 1] [--scratch DIR] [--out FILE]
+                        [--scratch DIR] [--out FILE]
 
 Run from anywhere inside the repository.
 
@@ -13,8 +13,9 @@ Run from anywhere inside the repository.
   was configured from, so a copy silently measures that tree twice.
 - The change (B) is the working tree at the repository root, uncommitted
   edits included; it builds into its own .bench_build/.
-- Both trees run `rocksbench/run.py --trace 0` with the same seed and
-  --seconds, in A B B A order, for --pairs pairs.
+- Both trees run `rocksbench/run.py --trace 0` with seed 1 and the run
+  length BENCHMARK.json sets ("run_seconds"), in A B B A order, for
+  --pairs pairs.
 - For each end-to-end metric it prints each side's median and quartiles,
   the median and quartiles of the per-pair B/A ratios, and how many pairs
   B won.
@@ -22,13 +23,17 @@ Run from anywhere inside the repository.
   compares the per-layer metrics whose units (count, ratio, B) are exact on
   the single-threaded workloads: the layer that moved needs no statistics.
 - It writes every run and the summary to --out, by default
-  BENCH_<workload>.json at the repository root.
+  BENCH_<workload>.json at the repository root. The change is named by
+  its HEAD commit; if tracked files have uncommitted edits, the file also
+  records the SHA-256 of `git diff HEAD`, so a run can be matched to the
+  exact code it measured.
 
 With the defaults (10 pairs of 20-s runs) a workload takes 8-10 minutes on
 4 vCPUs, plus about 2.5 minutes to build the base the first time.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -41,6 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "rocksbench"))
 from test_determinism import EXACT_UNITS, SINGLE_THREADED  # noqa: E402
+
+SEED = 1
 
 
 def fail(message):
@@ -83,18 +90,18 @@ def last_json(stdout, what):
         fail(f"{what} printed no result line")
 
 
-def run_once(tree, args):
-    command = [sys.executable, "rocksbench/run.py", "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+def run_once(tree, workload, seconds):
+    command = [sys.executable, "rocksbench/run.py", "--workload", workload,
+               "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         fail(f"run in {tree} failed:\n{done.stdout}{done.stderr}")
     return last_json(done.stdout, f"run in {tree}")
 
 
-def layer_counts(tree, args):
+def layer_counts(tree, workload):
     binary = tree / ".bench_build" / "cmake" / "rocksbench"
-    command = [str(binary), "--workload", args.workload, "--seed", str(args.seed),
+    command = [str(binary), "--workload", workload, "--seed", str(SEED),
                "--seconds", "1", "--trace", "1", "--small"]
     done = subprocess.run(command, capture_output=True, text=True)
     if done.returncode != 0:
@@ -160,8 +167,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scratch", type=Path, default=ROOT / ".bench_ab",
                         help="where base exports live (default: .bench_ab/ in the repo)")
     parser.add_argument("--out", type=Path, help="result file (default: BENCH_<workload>.json)")
@@ -172,9 +177,12 @@ def main():
         fail(f"unknown workload {args.workload!r}")
     if args.pairs < 1:
         fail("--pairs must be at least 1")
+    seconds = spec["run_seconds"]
     sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
-    head = git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    change = {"commit": git("rev-parse", "HEAD").decode().strip()}
+    diff = git("diff", "HEAD", "--binary")
+    if diff:
+        change["uncommitted_diff_sha256"] = hashlib.sha256(diff).hexdigest()
 
     trees = {"parent": export_base(sha, args.scratch.resolve()), "change": ROOT}
     for tree in trees.values():
@@ -184,26 +192,26 @@ def main():
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(trees[side], args)
+            result = run_once(trees[side], args.workload, seconds)
             runs.append({"pair": pair, "side": side, **result})
             ops = result["metrics"]["ops_per_s"]["value"]
             print(f"pair {pair + 1}/{args.pairs} {side:<6} ops_per_s {ops:.4g}", flush=True)
 
     summary = summarize(spec, runs)
     print_summary(summary)
-    layers = {side: layer_counts(tree, args) for side, tree in trees.items()}
+    layers = {side: layer_counts(tree, args.workload) for side, tree in trees.items()}
     identical = compare_layers(spec, args.workload, layers["parent"], layers["change"])
 
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps({
         "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "trace": 0,
         "pairs": args.pairs,
         "order": "A B B A (A = parent)",
         "parent": sha,
-        "change": f"working tree at {head}" + (" with uncommitted changes" if dirty else ""),
+        "change": change,
         "cpus": os.cpu_count(),
         "summary": summary,
         "layers_identical": identical,

@@ -64,14 +64,16 @@ class EkvConsole {
 
   [[nodiscard]] const EkvProgress& progress() const { return progress_; }
 
+  /// Output lines retained for screen(); older ones are dropped. Watchers
+  /// see every line live, and every node holds this log, so a longer cap
+  /// costs RSS in proportion to installs.
+  static constexpr std::size_t kLineCap = 64;
+
   /// Renders the telnet screen: a Figure 7-style header, the progress
-  /// counters, and the last `tail` output lines.
+  /// counters, and the last min(tail, kLineCap) output lines.
   [[nodiscard]] std::string screen(std::size_t tail = 8) const;
 
  private:
-  // Only screen() reads the retained lines (its tail defaults to 8); every
-  // node holds this log, so a long cap costs RSS in proportion to installs.
-  static constexpr std::size_t kLineCap = 64;
   std::string node_name_;
   support::ChannelLog<EkvLine> lines_{kLineCap};
   EkvProgress progress_;

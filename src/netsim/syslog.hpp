@@ -35,17 +35,18 @@ class SyslogBus {
 
   void publish(SyslogMessage message) { log_.publish({}, std::move(message)); }
 
-  /// The newest <= limit retained messages, oldest first (the log is
-  /// bounded; oldest entries are dropped beyond the cap).
+  /// Messages retained for recent(); older ones are dropped. Listeners see
+  /// every message live, so the retained tail is only for recent(), and a
+  /// longer cap grows RSS with every message published.
+  static constexpr std::size_t kLogCap = 1024;
+
+  /// The newest min(limit, kLogCap) messages, oldest first.
   [[nodiscard]] std::vector<SyslogMessage> recent(std::size_t limit) const {
     return log_.recent({}, limit);
   }
   [[nodiscard]] std::size_t total_published() const { return log_.seq({}); }
 
  private:
-  // Listeners see every message live; the retained tail is only for
-  // recent(). A longer cap grows RSS with every message published.
-  static constexpr std::size_t kLogCap = 1024;
   support::ChannelLog<SyslogMessage> log_{kLogCap};
 };
 

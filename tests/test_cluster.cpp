@@ -234,6 +234,22 @@ TEST(EkvConsole, WatcherAttachingMoreMidLineStartsThemOnTheNextLine) {
   EXPECT_NE(console.screen().find("[2.0s] Installing bash"), std::string::npos);
 }
 
+TEST(EkvConsole, ScreenShowsAtMostTheRetainedLines) {
+  EkvConsole console("compute-0-0");
+  const std::size_t written = EkvConsole::kLineCap + 5;
+  for (std::size_t i = 0; i < written; ++i)
+    console.write_line(static_cast<double>(i), strings::cat("line ", i));
+  const std::string screen = console.screen(written);
+  std::size_t shown = 0;
+  for (std::size_t at = screen.find("] line "); at != std::string::npos;
+       at = screen.find("] line ", at + 1))
+    ++shown;
+  EXPECT_EQ(shown, EkvConsole::kLineCap);
+  EXPECT_EQ(screen.find("] line 4\n"), std::string::npos) << "the oldest lines are dropped";
+  EXPECT_NE(screen.find("] line 5\n"), std::string::npos);
+  EXPECT_NE(screen.find(strings::cat("] line ", written - 1, "\n")), std::string::npos);
+}
+
 TEST_F(ClusterTest, ShootNodeCapturesEkvScreen) {
   Cluster cluster(small_config());
   cluster.add_node();

@@ -360,6 +360,21 @@ TEST(SyslogTest, ReentrantSubscriptionSafe) {
   EXPECT_EQ(nested, 1);
 }
 
+TEST(SyslogTest, RecentReturnsAtMostTheRetainedTail) {
+  SyslogBus bus;
+  int heard = 0;
+  bus.subscribe([&](const SyslogMessage&) { ++heard; });
+  const std::size_t published = SyslogBus::kLogCap + 10;
+  for (std::size_t i = 0; i < published; ++i)
+    bus.publish({0.0, "t", "h", std::to_string(i)});
+  EXPECT_EQ(heard, static_cast<int>(published)) << "listeners see every message";
+  const std::vector<SyslogMessage> tail = bus.recent(published);
+  ASSERT_EQ(tail.size(), SyslogBus::kLogCap);
+  EXPECT_EQ(tail.front().text, "10");
+  EXPECT_EQ(tail.back().text, std::to_string(published - 1));
+  EXPECT_EQ(bus.total_published(), published);
+}
+
 TEST(SimulatorTest, CancelledIdsReclaimedWhenEntriesPop) {
   Simulator sim;
   // A cancel-heavy workload (every retry timer that gets superseded) must
