@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""A/B driver: the working tree against a base commit, on one rocksbench workload.
+"""A/B driver: the working tree against a base commit, on rocksbench workloads.
 
-    python3 bench/ab.py --workload cluster_reinstall [--base HEAD~1] [--pairs 10]
-                        [--scratch DIR] [--out FILE]
+    python3 bench/ab.py --workload job_churn [--workload node_integration ...]
+                        [--base HEAD~1] [--pairs 10] [--scratch DIR] [--out FILE]
 
-Run from anywhere inside the repository.
+Run from anywhere inside the repository. --workload may be given more than
+once; the workloads run one after another, each with its own pairs, on one
+build of each tree.
 
 - The base commit (A) is exported with `git archive` into a fresh
   directory, <scratch>/<sha>/, and rocksbench is built there. The export is
@@ -22,14 +24,18 @@ Run from anywhere inside the repository.
 - It then runs both harness binaries once with `--small --trace 1` and
   compares the per-layer metrics whose units (count, ratio, B) are exact on
   the single-threaded workloads: the layer that moved needs no statistics.
-- It writes every run and the summary to --out, by default
-  BENCH_<workload>.json at the repository root. The change is named by
+- It ends each workload with one verdict line: every end-to-end metric
+  whose median B/A ratio is worse than its BENCHMARK.json bound, and
+  whether the exact per-layer counts moved.
+- It writes every run and the summary to BENCH_<workload>.json at the
+  repository root, one file per workload (--out names the file when one
+  workload runs). The change is named by
   its HEAD commit; if tracked files have uncommitted edits, the file also
   records the SHA-256 of `git diff HEAD`, so a run can be matched to the
   exact code it measured.
 
-With the defaults (10 pairs of 20-s runs) a workload takes 8-10 minutes on
-4 vCPUs, plus about 2.5 minutes to build the base the first time.
+With the defaults (10 pairs of 20-s runs) each workload takes 8-10 minutes
+on 4 vCPUs, plus about 2.5 minutes to build the base the first time.
 """
 
 import argparse
@@ -161,54 +167,39 @@ def compare_layers(spec, workload, parent, change):
     return not moved
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--scratch", type=Path, default=ROOT / ".bench_ab",
-                        help="where base exports live (default: .bench_ab/ in the repo)")
-    parser.add_argument("--out", type=Path, help="result file (default: BENCH_<workload>.json)")
-    args = parser.parse_args()
+def worse_than_bound(summary):
+    """End-to-end metrics whose median B/A ratio is worse than their bound."""
+    worse = []
+    for name, e in summary.items():
+        ratio = e["ratio"]["median"]
+        lower = e["better"] == "lower"
+        if (ratio > 1 + e["bound"]) if lower else (ratio < 1 - e["bound"]):
+            worse.append(f"{name} {ratio:.3f}")
+    return worse
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        fail(f"unknown workload {args.workload!r}")
-    if args.pairs < 1:
-        fail("--pairs must be at least 1")
+
+def run_workload(spec, workload, trees, pairs, sha, change, out):
     seconds = spec["run_seconds"]
-    sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
-    change = {"commit": git("rev-parse", "HEAD").decode().strip()}
-    diff = git("diff", "HEAD", "--binary")
-    if diff:
-        change["uncommitted_diff_sha256"] = hashlib.sha256(diff).hexdigest()
-
-    trees = {"parent": export_base(sha, args.scratch.resolve()), "change": ROOT}
-    for tree in trees.values():
-        build(tree)
-
     runs = []
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(trees[side], args.workload, seconds)
+            result = run_once(trees[side], workload, seconds)
             runs.append({"pair": pair, "side": side, **result})
             ops = result["metrics"]["ops_per_s"]["value"]
-            print(f"pair {pair + 1}/{args.pairs} {side:<6} ops_per_s {ops:.4g}", flush=True)
+            print(f"{workload} pair {pair + 1}/{pairs} {side:<6} ops_per_s {ops:.4g}", flush=True)
 
     summary = summarize(spec, runs)
     print_summary(summary)
-    layers = {side: layer_counts(tree, args.workload) for side, tree in trees.items()}
-    identical = compare_layers(spec, args.workload, layers["parent"], layers["change"])
+    layers = {side: layer_counts(tree, workload) for side, tree in trees.items()}
+    identical = compare_layers(spec, workload, layers["parent"], layers["change"])
 
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps({
-        "workload": args.workload,
+        "workload": workload,
         "seed": SEED,
         "seconds": seconds,
         "trace": 0,
-        "pairs": args.pairs,
+        "pairs": pairs,
         "order": "A B B A (A = parent)",
         "parent": sha,
         "change": change,
@@ -219,6 +210,52 @@ def main():
         "runs": runs,
     }, indent=1) + "\n")
     print(f"wrote {out}")
+    worse = worse_than_bound(summary)
+    layer_text = {True: "per-layer counts identical", False: "per-layer counts MOVED",
+                  None: "per-layer counts not compared"}[identical]
+    print(f"verdict {workload}: "
+          + (f"WORSE beyond bound: {', '.join(worse)}" if worse
+             else "no end-to-end metric worse beyond its bound")
+          + f"; {layer_text}", flush=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to run; give it once per workload")
+    parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--scratch", type=Path, default=ROOT / ".bench_ab",
+                        help="where base exports live (default: .bench_ab/ in the repo)")
+    parser.add_argument("--out", type=Path,
+                        help="result file for a single workload (default: BENCH_<workload>.json)")
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = {w["name"] for w in spec["workloads"]}
+    for workload in args.workload:
+        if workload not in known:
+            fail(f"unknown workload {workload!r}")
+    if len(set(args.workload)) != len(args.workload):
+        fail("each --workload may be given once")
+    if args.out and len(args.workload) > 1:
+        fail("--out names one file; with several workloads each writes BENCH_<workload>.json")
+    if args.pairs < 1:
+        fail("--pairs must be at least 1")
+    sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+    change = {"commit": git("rev-parse", "HEAD").decode().strip()}
+    diff = git("diff", "HEAD", "--binary")
+    if diff:
+        change["uncommitted_diff_sha256"] = hashlib.sha256(diff).hexdigest()
+
+    trees = {"parent": export_base(sha, args.scratch.resolve()), "change": ROOT}
+    for tree in trees.values():
+        build(tree)
+
+    for workload in args.workload:
+        out = args.out or ROOT / f"BENCH_{workload}.json"
+        run_workload(spec, workload, trees, args.pairs, sha, change, out)
     return 0
 
 

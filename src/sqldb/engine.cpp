@@ -5,6 +5,7 @@
 #include <cctype>
 #include <chrono>
 #include <exception>
+#include <span>
 #include <utility>
 #include <variant>
 
@@ -236,6 +237,54 @@ bool plan_write_probe(const Table& target, const Expr* where,
   return false;
 }
 
+/// UPDATE and DELETE's row selection: calls `on_match(position)` for each
+/// live row WHERE accepts, ascending, with `ctx` (the statement's one
+/// evaluation context, so its column-resolution cache persists) set on
+/// that row. Rows come from plan_write_probe when `planner` allows and a
+/// probe applies, else from a scan of every live row.
+template <typename OnMatch>
+void for_each_matching_row(const Table& target, const Expr* where, SingleTableContext& ctx,
+                           bool planner, std::atomic<std::uint64_t>& index_probes,
+                           OnMatch on_match) {
+  std::vector<std::size_t> probe;
+  std::vector<const Expr*> residual;
+  const bool probed = planner && plan_write_probe(target, where, probe, residual);
+  if (probed)
+    index_probes.fetch_add(1, std::memory_order_relaxed);
+  else if (where != nullptr)
+    residual.push_back(where);
+  const std::size_t candidates = probed ? probe.size() : target.live_size();
+  for (std::size_t c = 0; c < candidates; ++c) {
+    const std::size_t position = probed ? probe[c] : c;
+    ctx.set_row(&target.live_row(position));
+    const bool pass = std::all_of(residual.begin(), residual.end(), [&](const Expr* conjunct) {
+      const Value keep = conjunct->evaluate(ctx);
+      return !keep.is_null() && keep.truthy();
+    });
+    if (pass) on_match(position);
+  }
+}
+
+/// The journal channels a statement's records changed, deduplicated in
+/// order: every row change and every CREATE/DROP TABLE marks its table;
+/// CREATE INDEX changes no rows and notifies nobody.
+std::vector<std::string> touched_channels(std::span<const WalRecord> records) {
+  std::vector<std::string> channels;
+  for (const WalRecord& record : records) {
+    if (record.op == WalOp::kCreateIndex) continue;
+    std::string channel = strings::to_lower(record.table);
+    if (channels.empty() || channels.back() != channel) channels.push_back(std::move(channel));
+  }
+  return channels;
+}
+
+/// Row identity for the change journal: the PRIMARY KEY value, or NULL for
+/// tables without one (NULL poisons the delta range — full rescan).
+Value journal_pk(const Table& table, const Row& row) {
+  const auto pk_column = table.primary_key_column();
+  return pk_column ? row[*pk_column] : Value::null();
+}
+
 /// What snapshot()/snapshot_image() capture per table under their brief
 /// lock hold: the shared table (kept alive across a concurrent DROP), plus
 /// the schema-ish bits that belong to the checkpoint's commit timestamp
@@ -335,24 +384,27 @@ ResultSet Database::execute(std::string_view sql) {
 }
 
 ResultSet Database::execute(const Statement& statement) {
+  return std::visit([this](const auto& stmt) { return run(stmt); }, statement);
+}
+
+ResultSet Database::run(const SelectStmt& stmt) {
   // SELECT never touches the writer lock: it pins the current commit
   // timestamp (keeping reclamation at bay) and evaluates against the
-  // version chains and catalog visible at that timestamp. Everything else
-  // mutates table state and serializes on table_lock_ — run_* and
-  // table_locked() assume it is already held (the mutex is not recursive).
-  if (std::holds_alternative<SelectStmt>(statement)) {
-    const ReaderRegistry::Pin pin = registry_.pin(commit_ts_);
-    read_views_opened_.fetch_add(1, std::memory_order_relaxed);
-    const Catalog* catalog = catalog_.load(std::memory_order_seq_cst);
-    return run_select(std::get<SelectStmt>(statement), *catalog, pin.ts());
-  }
-  // Mutations: journal records are written by run_* under the writer lock,
-  // but subscriber notifications fire only after it is released so a
-  // callback may issue its own statements without self-deadlocking.
-  std::vector<std::string> touched;
-  std::vector<WalRecord> wal_records;
-  // Only durable databases pay for building WAL records.
-  std::vector<WalRecord>* wal = durability_ ? &wal_records : nullptr;
+  // version chains and catalog visible at that timestamp.
+  const ReaderRegistry::Pin pin = registry_.pin(commit_ts_);
+  read_views_opened_.fetch_add(1, std::memory_order_relaxed);
+  const Catalog* catalog = catalog_.load(std::memory_order_seq_cst);
+  return run_select(stmt, *catalog, pin.ts());
+}
+
+template <typename Stmt>
+ResultSet Database::run(const Stmt& stmt) {
+  // Mutations serialize on table_lock_ — run_write and table_locked()
+  // assume it is already held (the mutex is not recursive). Journal records
+  // are written under it, but subscriber notifications fire only after it
+  // is released so a callback may issue its own statements without
+  // self-deadlocking.
+  std::vector<WalRecord> records;
   ResultSet result;
   std::exception_ptr flush_error;
   {
@@ -362,33 +414,17 @@ ResultSet Database::execute(const Statement& statement) {
     // redirected to the leader before any state is touched.
     require_state(!read_only_.load(std::memory_order_relaxed), read_only_error_);
     try {
-      result = std::visit(
-          [this, &touched, wal](const auto& stmt) -> ResultSet {
-            using T = std::decay_t<decltype(stmt)>;
-            if constexpr (std::is_same_v<T, SelectStmt>)
-              // Unreachable (dispatched above); kept for visit completeness.
-              return run_select(stmt, *catalog_.load(std::memory_order_seq_cst),
-                                commit_ts_.load(std::memory_order_seq_cst));
-            else if constexpr (std::is_same_v<T, InsertStmt>) return run_insert(stmt, touched, wal);
-            else if constexpr (std::is_same_v<T, UpdateStmt>) return run_update(stmt, touched, wal);
-            else if constexpr (std::is_same_v<T, DeleteStmt>) return run_delete(stmt, touched, wal);
-            else if constexpr (std::is_same_v<T, CreateTableStmt>)
-              return run_create(stmt, touched, wal);
-            else if constexpr (std::is_same_v<T, CreateIndexStmt>)
-              return run_create_index(stmt, wal);
-            else return run_drop(stmt, touched, wal);
-          },
-          statement);
+      result = run_write(stmt, records);
     } catch (...) {
       // A statement can fail midway with part of its work applied (this
       // engine has no rollback). The WAL must mirror memory exactly and
       // readers must eventually see the partial versions, so the partial
       // records are logged and stamped before the error propagates.
-      commit_locked(wal_records);
+      commit_locked(records);
       throw;
     }
     try {
-      commit_locked(wal_records);
+      commit_locked(records);
     } catch (...) {
       // The in-RAM commit happened; a WAL flush IO failure must not hide it
       // from subscribers. Notify, then surface the error — the caller's
@@ -396,7 +432,7 @@ ResultSet Database::execute(const Statement& statement) {
       flush_error = std::current_exception();
     }
   }
-  for (const std::string& channel : touched) journal_.notify(channel);
+  for (const std::string& channel : touched_channels(records)) journal_.notify(channel);
   if (flush_error) std::rethrow_exception(flush_error);
   return result;
 }
@@ -539,13 +575,13 @@ const Table& Database::table(std::string_view name) const {
 
 const Table& Database::table_locked(std::string_view name) const {
   const auto it = tables_.find(name);
-  require_found(it != tables_.end(), strings::cat("no such table: ", std::string(name)));
+  if (it == tables_.end()) throw LookupError(strings::cat("no such table: ", std::string(name)));
   return *it->second;
 }
 
 Table& Database::table_mutable(std::string_view name) {
   const auto it = tables_.find(name);
-  require_found(it != tables_.end(), strings::cat("no such table: ", std::string(name)));
+  if (it == tables_.end()) throw LookupError(strings::cat("no such table: ", std::string(name)));
   return *it->second;
 }
 
@@ -857,27 +893,18 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
   return result;
 }
 
-namespace {
-/// Row identity for the change journal: the PRIMARY KEY value, or NULL for
-/// tables without one (NULL poisons the delta range — full rescan).
-Value journal_pk(const Table& table, const Row& row) {
-  const auto pk_column = table.primary_key_column();
-  return pk_column ? row[*pk_column] : Value::null();
-}
-}  // namespace
-
-ResultSet Database::run_insert(const InsertStmt& stmt, std::vector<std::string>& touched,
-                               std::vector<WalRecord>* wal) {
+ResultSet Database::run_write(const InsertStmt& stmt, std::vector<WalRecord>& records) {
   Table& target = table_mutable(stmt.table);
   const EmptyContext ctx;
   ResultSet result;
   for (const auto& exprs : stmt.rows) {
-    Row row(target.columns().size(), Value::null());
+    WalRecord record{.op = WalOp::kInsert, .table = target.name(),
+                     .row = Row(target.columns().size(), Value::null())};
     if (stmt.columns.empty()) {
       require_state(exprs.size() == target.columns().size(),
                     strings::cat("INSERT into ", stmt.table, ": expected ",
                                  target.columns().size(), " values, got ", exprs.size()));
-      for (std::size_t i = 0; i < exprs.size(); ++i) row[i] = exprs[i]->evaluate(ctx);
+      for (std::size_t i = 0; i < exprs.size(); ++i) record.row[i] = exprs[i]->evaluate(ctx);
     } else {
       require_state(exprs.size() == stmt.columns.size(),
                     strings::cat("INSERT into ", stmt.table, ": column/value count mismatch"));
@@ -885,29 +912,17 @@ ResultSet Database::run_insert(const InsertStmt& stmt, std::vector<std::string>&
         const auto index = target.column_index(stmt.columns[i]);
         require_found(index.has_value(),
                       strings::cat("unknown column '", stmt.columns[i], "' in INSERT"));
-        row[*index] = exprs[i]->evaluate(ctx);
+        record.row[*index] = exprs[i]->evaluate(ctx);
       }
     }
-    // Journal (and WAL-log) the row *after* insert so AUTO_INCREMENT keys
-    // carry their assigned value.
-    const std::size_t inserted = target.insert(std::move(row));
-    journal_.record(target.name(), ChangeOp::kInsert,
-                    journal_pk(target, target.live_row(inserted)));
-    if (wal != nullptr) {
-      WalRecord record;
-      record.op = WalOp::kInsert;
-      record.table = target.name();
-      record.row = target.live_row(inserted);
-      wal->push_back(std::move(record));
-    }
+    apply_locked(record);
+    records.push_back(std::move(record));
     ++result.affected_rows;
   }
-  if (result.affected_rows > 0) touched.push_back(strings::to_lower(stmt.table));
   return result;
 }
 
-ResultSet Database::run_update(const UpdateStmt& stmt, std::vector<std::string>& touched,
-                               std::vector<WalRecord>* wal) {
+ResultSet Database::run_write(const UpdateStmt& stmt, std::vector<WalRecord>& records) {
   Table& target = table_mutable(stmt.table);
   // Resolve assignment columns once.
   std::vector<std::pair<std::size_t, const Expr*>> assignments;
@@ -918,183 +933,95 @@ ResultSet Database::run_update(const UpdateStmt& stmt, std::vector<std::string>&
   }
   ResultSet result;
   SingleTableContext ctx(target);
-  std::vector<std::size_t> probe;
-  std::vector<const Expr*> residual;
-  const bool probed = planner_enabled_.load(std::memory_order_relaxed) &&
-                      plan_write_probe(target, stmt.where.get(), probe, residual);
-  if (probed) plans_index_probe_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t candidates = probed ? probe.size() : target.live_size();
-  for (std::size_t c = 0; c < candidates; ++c) {
-    const std::size_t r = probed ? probe[c] : c;
-    ctx.set_row(&target.live_row(r));
-    if (probed) {
-      bool pass = true;
-      for (const Expr* conjunct : residual) {
-        const Value keep = conjunct->evaluate(ctx);
-        if (keep.is_null() || !keep.truthy()) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-    } else if (stmt.where) {
-      const Value keep = stmt.where->evaluate(ctx);
-      if (keep.is_null() || !keep.truthy()) continue;
-    }
-    // Evaluate all RHS against the pre-update row, then publish one new
-    // version carrying the changed cells (hash indexes track the new keys).
-    std::vector<std::pair<std::size_t, Value>> cells;
-    cells.reserve(assignments.size());
-    for (const auto& [index, expr] : assignments) cells.emplace_back(index, expr->evaluate(ctx));
-    const Value old_pk = journal_pk(target, target.live_row(r));
-    if (wal != nullptr) {
-      WalRecord record;
-      record.op = WalOp::kUpdate;
-      record.table = target.name();
-      record.row_index = r;
-      record.cells = cells;
-      wal->push_back(std::move(record));
-    }
-    target.update_row(r, cells);
-    const Value new_pk = journal_pk(target, target.live_row(r));
-    // An UPDATE that reassigns the key is a delete of the old identity plus
-    // an insert of the new one — consumers keyed by PK cannot see it as an
-    // in-place change.
-    if (!old_pk.is_null() && !new_pk.is_null() && old_pk.compare(new_pk) == 0) {
-      journal_.record(target.name(), ChangeOp::kUpdate, new_pk);
-    } else {
-      journal_.record(target.name(), ChangeOp::kDelete, old_pk);
-      journal_.record(target.name(), ChangeOp::kInsert, new_pk);
-    }
-    ++result.affected_rows;
-  }
-  if (result.affected_rows > 0) touched.push_back(strings::to_lower(stmt.table));
+  for_each_matching_row(
+      target, stmt.where.get(), ctx, planner_enabled_.load(std::memory_order_relaxed),
+      plans_index_probe_, [&](std::size_t position) {
+        // Evaluate all RHS against the pre-update row; the record publishes
+        // one new version carrying the changed cells.
+        WalRecord record{.op = WalOp::kUpdate, .table = target.name(), .row_index = position};
+        record.cells.reserve(assignments.size());
+        for (const auto& [index, expr] : assignments)
+          record.cells.emplace_back(index, expr->evaluate(ctx));
+        apply_locked(record);
+        records.push_back(std::move(record));
+        ++result.affected_rows;
+      });
   return result;
 }
 
-ResultSet Database::run_delete(const DeleteStmt& stmt, std::vector<std::string>& touched,
-                               std::vector<WalRecord>* wal) {
+ResultSet Database::run_write(const DeleteStmt& stmt, std::vector<WalRecord>& records) {
   Table& target = table_mutable(stmt.table);
-  std::vector<std::size_t> doomed;
   SingleTableContext ctx(target);
-  std::vector<std::size_t> probe;
-  std::vector<const Expr*> residual;
-  const bool probed = planner_enabled_.load(std::memory_order_relaxed) &&
-                      plan_write_probe(target, stmt.where.get(), probe, residual);
-  if (probed) plans_index_probe_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t candidates = probed ? probe.size() : target.live_size();
-  for (std::size_t c = 0; c < candidates; ++c) {
-    const std::size_t i = probed ? probe[c] : c;
-    ctx.set_row(&target.live_row(i));
-    if (probed) {
-      bool pass = true;
-      for (const Expr* conjunct : residual) {
-        const Value keep = conjunct->evaluate(ctx);
-        if (keep.is_null() || !keep.truthy()) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-    } else if (stmt.where) {
-      const Value keep = stmt.where->evaluate(ctx);
-      if (keep.is_null() || !keep.truthy()) continue;
-    }
-    doomed.push_back(i);
-  }
-  // Journal identities before erase_rows invalidates the row positions.
-  for (const std::size_t i : doomed)
-    journal_.record(target.name(), ChangeOp::kDelete, journal_pk(target, target.live_row(i)));
-  if (wal != nullptr && !doomed.empty()) {
-    WalRecord record;
-    record.op = WalOp::kDelete;
-    record.table = target.name();
-    record.row_indexes = doomed;
-    wal->push_back(std::move(record));
-  }
-  target.erase_rows(doomed);
+  WalRecord record{.op = WalOp::kDelete, .table = target.name()};
+  for_each_matching_row(target, stmt.where.get(), ctx,
+                        planner_enabled_.load(std::memory_order_relaxed), plans_index_probe_,
+                        [&](std::size_t position) { record.row_indexes.push_back(position); });
   ResultSet result;
-  result.affected_rows = doomed.size();
-  if (result.affected_rows > 0) touched.push_back(strings::to_lower(stmt.table));
+  result.affected_rows = record.row_indexes.size();
+  if (record.row_indexes.empty()) return result;
+  apply_locked(record);
+  records.push_back(std::move(record));
   return result;
 }
 
-ResultSet Database::run_create(const CreateTableStmt& stmt, std::vector<std::string>& touched,
-                               std::vector<WalRecord>* wal) {
+ResultSet Database::run_write(const CreateTableStmt& stmt, std::vector<WalRecord>& records) {
   if (tables_.contains(stmt.table)) {
     if (stmt.if_not_exists) return {};
     throw StateError(strings::cat("table already exists: ", stmt.table));
   }
-  create_table_locked(stmt.table, stmt.columns);
-  // DDL has no row identity: truncate (revision bump, rescan-on-read) now,
-  // notify after the lock drops like any other mutation.
-  journal_.truncate(stmt.table);
-  touched.push_back(strings::to_lower(stmt.table));
-  if (wal != nullptr) {
-    WalRecord record;
-    record.op = WalOp::kCreateTable;
-    record.table = stmt.table;
-    record.schema = stmt.columns;
-    wal->push_back(std::move(record));
-  }
+  WalRecord record{.op = WalOp::kCreateTable, .table = stmt.table, .schema = stmt.columns};
+  apply_locked(record);
+  records.push_back(std::move(record));
   return {};
 }
 
-ResultSet Database::run_create_index(const CreateIndexStmt& stmt, std::vector<WalRecord>* wal) {
+ResultSet Database::run_write(const CreateIndexStmt& stmt, std::vector<WalRecord>& records) {
   // create_index is idempotent, so IF NOT EXISTS is accepted but needs no
   // special handling.
-  table_mutable(stmt.table).create_index(stmt.column);
-  if (wal != nullptr) {
-    WalRecord record;
-    record.op = WalOp::kCreateIndex;
-    record.table = stmt.table;
-    record.column = stmt.column;
-    wal->push_back(std::move(record));
-  }
+  WalRecord record{.op = WalOp::kCreateIndex, .table = stmt.table, .column = stmt.column};
+  apply_locked(record);
+  records.push_back(std::move(record));
   return {};
 }
 
-ResultSet Database::run_drop(const DropTableStmt& stmt, std::vector<std::string>& touched,
-                             std::vector<WalRecord>* wal) {
+ResultSet Database::run_write(const DropTableStmt& stmt, std::vector<WalRecord>& records) {
   if (!tables_.contains(stmt.table)) {
     if (stmt.if_exists) return {};
     throw LookupError(strings::cat("no such table: ", stmt.table));
   }
-  drop_table_locked(stmt.table);
-  journal_.truncate(stmt.table);
-  touched.push_back(strings::to_lower(stmt.table));
-  if (wal != nullptr) {
-    WalRecord record;
-    record.op = WalOp::kDropTable;
-    record.table = stmt.table;
-    wal->push_back(std::move(record));
-  }
+  WalRecord record{.op = WalOp::kDropTable, .table = stmt.table};
+  apply_locked(record);
+  records.push_back(std::move(record));
   return {};
 }
 
-// --- durable store (DESIGN.md §11) -------------------------------------------
-
-void Database::apply_wal_record(const WalRecord& record) {
+void Database::apply_locked(WalRecord& record) {
+  // Live records always fit; a replayed or shipped one out of step with
+  // this state is refused. The message is built only on failure.
+  const auto require_fits = [&record](bool fits, std::string_view what) {
+    if (!fits) throw StateError(strings::cat("wal record: ", what, record.table));
+  };
   switch (record.op) {
     case WalOp::kInsert: {
       Table& target = table_mutable(record.table);
-      // insert() re-coerces (idempotent on the already-typed logged row) and
-      // advances the AUTO_INCREMENT cursor past the logged key, exactly as
+      // insert() coerces and assigns AUTO_INCREMENT keys; the record takes
+      // the stored row back so the WAL logs it. Replaying that row re-coerces
+      // idempotently and advances the cursor past the logged key, exactly as
       // the original insert left it.
-      const std::size_t inserted = target.insert(record.row);
-      journal_.record(target.name(), ChangeOp::kInsert,
-                      journal_pk(target, target.live_row(inserted)));
+      const Row& stored = target.live_row(target.insert(std::move(record.row)));
+      record.row = stored;
+      journal_.record(target.name(), ChangeOp::kInsert, journal_pk(target, stored));
       break;
     }
     case WalOp::kUpdate: {
       Table& target = table_mutable(record.table);
-      require_state(record.row_index < target.live_size(),
-                    strings::cat("wal replay: row index out of range in ", record.table));
+      require_fits(record.row_index < target.live_size(), "row index out of range in ");
       const Value old_pk = journal_pk(target, target.live_row(record.row_index));
       target.update_row(record.row_index, record.cells);
       const Value new_pk = journal_pk(target, target.live_row(record.row_index));
-      // Same journal semantics as run_update: a key reassignment is a
-      // delete + insert, anything else an in-place update.
+      // An UPDATE that reassigns the key is a delete of the old identity plus
+      // an insert of the new one — consumers keyed by PK cannot see it as an
+      // in-place change.
       if (!old_pk.is_null() && !new_pk.is_null() && old_pk.compare(new_pk) == 0) {
         journal_.record(target.name(), ChangeOp::kUpdate, new_pk);
       } else {
@@ -1105,9 +1032,9 @@ void Database::apply_wal_record(const WalRecord& record) {
     }
     case WalOp::kDelete: {
       Table& target = table_mutable(record.table);
+      // Journal identities before erase_rows invalidates the row positions.
       for (const std::size_t index : record.row_indexes) {
-        require_state(index < target.live_size(),
-                      strings::cat("wal replay: row index out of range in ", record.table));
+        require_fits(index < target.live_size(), "row index out of range in ");
         journal_.record(target.name(), ChangeOp::kDelete,
                         journal_pk(target, target.live_row(index)));
       }
@@ -1115,23 +1042,23 @@ void Database::apply_wal_record(const WalRecord& record) {
       break;
     }
     case WalOp::kCreateTable:
-      require_state(!tables_.contains(record.table),
-                    strings::cat("wal replay: table already exists: ", record.table));
+      require_fits(!tables_.contains(record.table), "table already exists: ");
       create_table_locked(record.table, record.schema);
+      // DDL has no row identity: truncate (revision bump, rescan-on-read).
       journal_.truncate(record.table);
       break;
-    case WalOp::kDropTable: {
-      require_state(tables_.contains(record.table),
-                    strings::cat("wal replay: no such table: ", record.table));
+    case WalOp::kDropTable:
+      require_fits(tables_.contains(record.table), "no such table: ");
       drop_table_locked(record.table);
       journal_.truncate(record.table);
       break;
-    }
     case WalOp::kCreateIndex:
       table_mutable(record.table).create_index(record.column);
       break;
   }
 }
+
+// --- durable store (DESIGN.md §11) -------------------------------------------
 
 RecoveryReport Database::open_durable(vfs::FileSystem& fs, std::string_view dir) {
   std::unique_lock<std::mutex> lock(table_lock_);
@@ -1174,7 +1101,7 @@ RecoveryReport Database::open_durable(vfs::FileSystem& fs, std::string_view dir)
   const std::string wal_path = durability_->wal.path();
   if (fs.is_file(wal_path)) {
     const std::string bytes = fs.read_file(wal_path);  // copy: we may cut it back
-    const WalReadResult wal = read_wal(bytes);
+    WalReadResult wal = read_wal(bytes);
     report.wal_torn = wal.torn;
     // Records apply in whole statements: buffer until a commit-marked
     // record closes the group, then apply all of it and stamp its versions
@@ -1196,7 +1123,7 @@ RecoveryReport Database::open_durable(vfs::FileSystem& fs, std::string_view dir)
       ++expected;
       if (!record.commit) continue;
       for (std::size_t j = group_start; j <= i; ++j) {
-        apply_wal_record(wal.records[j]);
+        apply_locked(wal.records[j]);
         ++durability_->next_lsn;
         ++report.wal_records_replayed;
       }
@@ -1362,17 +1289,17 @@ void Database::set_read_only(bool read_only, std::string leader_hint) {
 std::uint64_t Database::replicate_apply(std::string_view group) {
   // One decode: the records drive the apply, their frames are appended to
   // the replica's WAL byte for byte.
-  const WalReadResult wal = read_wal(group);
+  WalReadResult wal = read_wal(group);
   require_state(!wal.torn && !wal.records.empty() && wal.records.back().commit,
                 "corrupt statement group");
-  std::vector<std::string> touched;
+  std::size_t first_new = wal.records.size();
   std::uint64_t position = 0;
   {
     const auto lock = timed_lock<std::unique_lock<std::mutex>>(
         table_lock_, exclusive_acquisitions_, exclusive_wait_ns_);
     require_state(durability_ != nullptr, "replicate_apply() requires a durable store");
     for (std::size_t i = 0; i < wal.records.size(); ++i) {
-      const WalRecord& record = wal.records[i];
+      WalRecord& record = wal.records[i];
       // Duplicate delivery (a re-ship overlapping the acked prefix) is
       // idempotent: already-applied records are skipped by LSN.
       if (record.lsn < durability_->next_lsn) continue;
@@ -1380,7 +1307,8 @@ std::uint64_t Database::replicate_apply(std::string_view group) {
           record.lsn == durability_->next_lsn,
           strings::cat("replication gap: expected LSN ", durability_->next_lsn, ", got ",
                        record.lsn, " — catch up from the leader WAL or re-bootstrap"));
-      apply_wal_record(record);
+      first_new = std::min(first_new, i);
+      apply_locked(record);
       // Replay-applied records keep their leader LSNs in the replica's own
       // WAL, so a crashed follower recovers to the same gapless history.
       const std::size_t start = wal.frame_start(i);
@@ -1389,19 +1317,15 @@ std::uint64_t Database::replicate_apply(std::string_view group) {
       // Commit-marked record: stamp the group's versions with its LSN —
       // the leader's commit timestamps, reproduced exactly.
       if (record.commit) stamp_commit_locked(record.lsn);
-      // Mirror the run_* dirty-channel semantics: every mutation marks its
-      // table; CREATE INDEX changes no rows and notifies nobody.
-      if (record.op != WalOp::kCreateIndex) {
-        std::string channel = strings::to_lower(record.table);
-        if (touched.empty() || touched.back() != channel)
-          touched.push_back(std::move(channel));
-      }
     }
     maybe_reclaim_locked();
     durability_->wal.commit();
     position = durability_->next_lsn - 1;
   }
-  for (const std::string& channel : touched) journal_.notify(channel);
+  // The applied records are a suffix of the group (skipped ones precede
+  // them); their channels are notified exactly like a local commit's.
+  for (const std::string& channel : touched_channels(std::span(wal.records).subspan(first_new)))
+    journal_.notify(channel);
   return position;
 }
 

@@ -231,9 +231,8 @@ class Database {
   /// with each statement's group — the frames the local WAL just buffered —
   /// in commit order (WAL order == commit order == sink order), right
   /// before the local group-commit flush. The sink must not call back into
-  /// this Database. Requires a durable store (records are only built when
-  /// one is attached); pass nullptr to detach (a killed leader stops
-  /// shipping).
+  /// this Database. Requires a durable store (only it stamps LSNs and frames
+  /// records); pass nullptr to detach (a killed leader stops shipping).
   using WalSink = std::function<void(WalGroup)>;
   void set_wal_sink(WalSink sink);
 
@@ -363,29 +362,32 @@ class Database {
   friend class ReadView;
   struct Durability;  // WAL writer + LSN/seq cursors; engine.cpp only
 
-  // Mutating statements append the channels they changed to `touched` and,
-  // when a durable store is attached (`wal` non-null), one physical WAL
-  // record per row-level change — the same granularity the journal records,
-  // so replay reproduces both; execute() dispatches one journal
-  // notification per channel after the exclusive lock is released
-  // (callbacks may re-enter the Database).
+  // execute()'s two paths: a SELECT pins a read timestamp and takes no
+  // lock; every other statement runs its handler under the writer lock,
+  // commits the records it built, and notifies the channels they touched
+  // after the lock is released (callbacks may re-enter the Database).
+  ResultSet run(const SelectStmt& stmt);
+  template <typename Stmt>
+  ResultSet run(const Stmt& stmt);
   ResultSet run_select(const SelectStmt& stmt, const Catalog& catalog, std::uint64_t ts);
-  ResultSet run_insert(const InsertStmt& stmt, std::vector<std::string>& touched,
-                       std::vector<WalRecord>* wal);
-  ResultSet run_update(const UpdateStmt& stmt, std::vector<std::string>& touched,
-                       std::vector<WalRecord>* wal);
-  ResultSet run_delete(const DeleteStmt& stmt, std::vector<std::string>& touched,
-                       std::vector<WalRecord>* wal);
-  ResultSet run_create(const CreateTableStmt& stmt, std::vector<std::string>& touched,
-                       std::vector<WalRecord>* wal);
-  ResultSet run_create_index(const CreateIndexStmt& stmt, std::vector<WalRecord>* wal);
-  ResultSet run_drop(const DropTableStmt& stmt, std::vector<std::string>& touched,
-                     std::vector<WalRecord>* wal);
 
-  /// Applies one replayed WAL record to table storage, re-recording into the
-  /// journal exactly as the original run_* did (revisions line back up) but
-  /// never notifying — recovery runs before any subscriber exists.
-  void apply_wal_record(const WalRecord& record);
+  // Statement handlers: each builds one physical WAL record per row-level
+  // change, applies it through apply_locked, and appends it to `records`
+  // (the statement's WAL group).
+  ResultSet run_write(const InsertStmt& stmt, std::vector<WalRecord>& records);
+  ResultSet run_write(const UpdateStmt& stmt, std::vector<WalRecord>& records);
+  ResultSet run_write(const DeleteStmt& stmt, std::vector<WalRecord>& records);
+  ResultSet run_write(const CreateTableStmt& stmt, std::vector<WalRecord>& records);
+  ResultSet run_write(const CreateIndexStmt& stmt, std::vector<WalRecord>& records);
+  ResultSet run_write(const DropTableStmt& stmt, std::vector<WalRecord>& records);
+
+  /// The one mutation path, shared by live statements, WAL replay and
+  /// replica apply: applies `record` to table storage and records it in the
+  /// journal, never notifying. Throws StateError when the record does not
+  /// fit the current state (a replayed or shipped record out of step). An
+  /// INSERT's record gets the stored row back: coerced, AUTO_INCREMENT key
+  /// assigned — what the WAL logs.
+  void apply_locked(WalRecord& record);
 
   /// Commits one statement under the writer lock: stages `records` into the
   /// WAL (LSN stamping, ship to the sink), stamps every version the
@@ -432,7 +434,7 @@ class Database {
   void catalog_append_locked(std::shared_ptr<Table> table);
 
   // Table lookups used while the caller already holds table_lock_ (the
-  // writer mutex is not recursive, so run_* must never re-lock).
+  // writer mutex is not recursive, so run_write must never re-lock).
   [[nodiscard]] const Table& table_locked(std::string_view name) const;
   [[nodiscard]] Table& table_mutable(std::string_view name);
   /// Reader-side lookup: the table named `name` visible at `ts` in a loaded
@@ -448,7 +450,7 @@ class Database {
   };
 
   // The writer's current tables, keyed by name (case-insensitive) — the
-  // same shape the run_* statement handlers always worked against. The
+  // same shape the statement handlers always worked against. The
   // shared_ptrs are co-owned by catalog entries, so a DROP removes the
   // table here while pinned readers keep resolving it through the catalog.
   std::map<std::string, std::shared_ptr<Table>, NameLess> tables_;
@@ -470,8 +472,8 @@ class Database {
   static constexpr std::uint64_t kReclaimInterval = 64;
 
   // Commit-time change journal. Internally synchronized with its own leaf
-  // mutexes, so run_* may record into it while holding table_lock_ without
-  // adding lock acquisitions the contention counters would see.
+  // mutexes, so apply_locked may record into it while holding table_lock_
+  // without adding lock acquisitions the contention counters would see.
   ChangeJournal journal_;
 
   // Durable store; null until open_durable(). Guarded by table_lock_ (the

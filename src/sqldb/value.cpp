@@ -62,11 +62,39 @@ bool Value::truthy() const {
   return false;
 }
 
+namespace {
+
+// 2^63: the first double above every int64. Doubles in [-2^63, 2^63)
+// truncate to an int64 exactly.
+constexpr double kTwo63 = 9223372036854775808.0;
+
+template <typename T>
+int three_way(T x, T y) {
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+/// INT vs REAL without rounding the int (above 2^53 a double cannot hold
+/// every int64). NaN is unordered and compares equal, as it always has.
+int compare_int_real(std::int64_t i, double d) {
+  if (std::isnan(d)) return 0;
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  const double whole = std::trunc(d);
+  const auto w = static_cast<std::int64_t>(whole);
+  if (i != w) return three_way(i, w);
+  return three_way(0.0, d - whole);  // exact: the fraction decides
+}
+
+}  // namespace
+
 std::size_t Value::hash() const {
   switch (type()) {
     case Type::kNull: return 0;
     // INT hashes through double so that compare()-equal INT/REAL pairs
-    // collide on the same bucket (1 == 1.0 must hash identically).
+    // collide on the same bucket (1 == 1.0 must hash identically). Exact
+    // compare() keeps this sound: an INT equals a REAL only when the REAL is
+    // exactly that INT, so both convert to the same double. INTs past 2^53
+    // that round to one double merely share a bucket.
     case Type::kInt:
     case Type::kReal: return std::hash<double>{}(as_real());
     case Type::kText: return std::hash<std::string_view>{}(std::get<std::string>(data_));
@@ -84,16 +112,13 @@ int Value::compare(const Value& other) const {
     return a == Type::kNull ? -1 : 1;
   }
   if (a_num && b_num) {
-    const double x = as_real();
-    const double y = other.as_real();
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
+    if (a == Type::kInt && b == Type::kInt) return three_way(as_int(), other.as_int());
+    if (a == Type::kInt) return compare_int_real(as_int(), other.as_real());
+    if (b == Type::kInt) return -compare_int_real(other.as_int(), as_real());
+    return three_way(as_real(), other.as_real());
   }
   if (a_num != b_num) return a_num ? -1 : 1;  // numbers before text
-  return as_text().compare(other.as_text()) < 0   ? -1
-         : as_text().compare(other.as_text()) > 0 ? 1
-                                                  : 0;
+  return three_way(as_text().compare(other.as_text()), 0);
 }
 
 std::string sql_text(std::string_view text) {

@@ -72,12 +72,12 @@ struct WalRecord {
   bool commit = false;
   std::string table;
 
-  Row row;                                          // kInsert
-  std::size_t row_index = 0;                        // kUpdate
-  std::vector<std::pair<std::size_t, Value>> cells; // kUpdate
-  std::vector<std::size_t> row_indexes;             // kDelete
-  std::vector<ColumnDef> schema;                    // kCreateTable
-  std::string column;                               // kCreateIndex
+  Row row{};                                          // kInsert
+  std::size_t row_index = 0;                          // kUpdate
+  std::vector<std::pair<std::size_t, Value>> cells{}; // kUpdate
+  std::vector<std::size_t> row_indexes{};             // kDelete
+  std::vector<ColumnDef> schema{};                    // kCreateTable
+  std::string column{};                               // kCreateIndex
 };
 
 /// Serializes one record, framing (length + CRC) included.

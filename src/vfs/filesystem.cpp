@@ -235,12 +235,12 @@ void FileSystem::write_file(std::string_view path, std::string content,
 }
 
 void FileSystem::append_file(std::string_view path, std::string_view content) {
-  check_write_fault(path);
   const Walk walk(*this, path, Walk::kFollow);
   if (walk.node == nullptr) {
-    write_file(path, std::string(content));
+    write_file(path, std::string(content));  // checks the armed fault once
     return;
   }
+  check_write_fault(path);
   if (walk.node->type != NodeType::kFile)
     throw IoError(strings::cat("append_file: not a file: ", walk.norm));
   walk.node->content += content;

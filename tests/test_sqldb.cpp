@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "sqldb/engine.hpp"
 #include "support/error.hpp"
@@ -416,6 +419,115 @@ TEST_F(PlannerTest, IndexProbeMatchesIntAndRealKeys) {
   db.execute("INSERT INTO m VALUES (1.0), (2.5)");
   EXPECT_EQ(db.execute("SELECT x FROM m WHERE x = 1").row_count(), 1u);
   EXPECT_EQ(db.execute("SELECT x FROM m WHERE x = 2.5").row_count(), 1u);
+}
+
+// --- exact numeric comparison ------------------------------------------------
+
+constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr double kTwo63 = 9223372036854775808.0;
+
+TEST(ValueCompare, IntsCompareExactlyPastTwoToThe53) {
+  EXPECT_EQ(Value(kTwo53).compare(Value(kTwo53 + 1)), -1);
+  EXPECT_EQ(Value(kTwo53 + 1).compare(Value(kTwo53)), 1);
+  EXPECT_EQ(Value(-kTwo53).compare(Value(-kTwo53 - 1)), 1);
+  EXPECT_EQ(Value(kMax).compare(Value(kMax - 1)), 1);
+  EXPECT_EQ(Value(kMin).compare(Value(kMin + 1)), -1);
+  EXPECT_EQ(Value(kMin).compare(Value(kMax)), -1);
+  EXPECT_EQ(Value(kMax).compare(Value(kMax)), 0);
+}
+
+TEST(ValueCompare, IntAgainstRealNeverRoundsTheInt) {
+  const double two53 = static_cast<double>(kTwo53);
+  EXPECT_EQ(Value(kTwo53 + 1).compare(Value(two53)), 1);
+  EXPECT_EQ(Value(two53).compare(Value(kTwo53 + 1)), -1);
+  EXPECT_EQ(Value(kTwo53).compare(Value(two53)), 0);
+  EXPECT_EQ(Value(-kTwo53 - 1).compare(Value(-two53)), -1);
+  // 2^63 is above every INT; -2^63 is INT64_MIN exactly.
+  EXPECT_EQ(Value(kMax).compare(Value(kTwo63)), -1);
+  EXPECT_EQ(Value(kTwo63).compare(Value(kMax)), 1);
+  EXPECT_EQ(Value(kMin).compare(Value(-kTwo63)), 0);
+  EXPECT_EQ(Value(kMin + 1).compare(Value(-kTwo63)), 1);
+  // The fraction decides between an INT and the REAL it truncates to.
+  EXPECT_EQ(Value(2).compare(Value(2.5)), -1);
+  EXPECT_EQ(Value(3).compare(Value(2.5)), 1);
+  EXPECT_EQ(Value(-2).compare(Value(-2.5)), 1);
+  EXPECT_EQ(Value(-3).compare(Value(-2.5)), -1);
+  EXPECT_EQ(Value(1).compare(Value(1.0)), 0);
+  EXPECT_EQ(Value(0).compare(Value(-0.0)), 0);
+}
+
+TEST(ValueCompare, CompareEqualNumbersHashEqual) {
+  const std::vector<std::pair<Value, Value>> equal = {
+      {Value(1), Value(1.0)},
+      {Value(0), Value(-0.0)},
+      {Value(kTwo53), Value(static_cast<double>(kTwo53))},
+      {Value(-kTwo53), Value(-static_cast<double>(kTwo53))},
+      {Value(kMin), Value(-kTwo63)},
+  };
+  for (const auto& [a, b] : equal) {
+    ASSERT_EQ(a.compare(b), 0) << a.to_string() << " vs " << b.to_string();
+    EXPECT_EQ(a.hash(), b.hash()) << a.to_string() << " vs " << b.to_string();
+  }
+  EXPECT_NE(Value(kTwo53).compare(Value(kTwo53 + 1)), 0);
+}
+
+/// Rows around ±2^53 and ±2^63, each with an INT and a REAL cell.
+class NumericBoundaryTest : public DbTest {
+ protected:
+  void SetUp() override {
+    DbTest::SetUp();
+    db.execute("CREATE TABLE big (id INT, i INT, r REAL)");
+    db.execute(
+        "INSERT INTO big VALUES "
+        "(1, 9007199254740992, 9007199254740992.0), "       // 2^53, 2^53
+        "(2, 9007199254740993, 9007199254740992.0), "       // 2^53 + 1, 2^53
+        "(3, -9007199254740992, -9007199254740992.0), "     // -2^53, -2^53
+        "(4, -9007199254740993, 0.5), "                     // -2^53 - 1
+        "(5, 9223372036854775807, 9223372036854775808.0), " // INT64_MAX, 2^63
+        "(6, -9223372036854775807 - 1, -9223372036854775808.0), "  // INT64_MIN, -2^63
+        "(7, 1, 1.0)");
+  }
+
+  /// The `id` column of `sql`, requiring planner on and off to agree.
+  std::vector<std::int64_t> ids(const std::string& sql) {
+    expect_planner_matches_scan(db, sql);
+    std::vector<std::int64_t> out;
+    for (const Row& row : db.execute(sql).rows) out.push_back(row[0].as_int());
+    return out;
+  }
+
+  void expect_exact_answers() {
+    using Ids = std::vector<std::int64_t>;
+    EXPECT_EQ(ids("SELECT id FROM big WHERE i = 9007199254740992"), Ids{1});
+    EXPECT_EQ(ids("SELECT id FROM big WHERE i = 9007199254740993"), Ids{2});
+    EXPECT_EQ(ids("SELECT id FROM big WHERE i = 9223372036854775807"), Ids{5});
+    EXPECT_EQ(ids("SELECT id FROM big WHERE r = 9007199254740993"), Ids{});
+    EXPECT_EQ(ids("SELECT id FROM big WHERE r = 9007199254740992"), (Ids{1, 2}));
+    EXPECT_EQ(ids("SELECT id FROM big WHERE i = r ORDER BY id"), (Ids{1, 3, 6, 7}));
+    EXPECT_EQ(ids("SELECT id FROM big WHERE i > r ORDER BY id"), Ids{2});
+    EXPECT_EQ(ids("SELECT id FROM big ORDER BY i"), (Ids{6, 4, 3, 7, 1, 2, 5}));
+    EXPECT_EQ(ids("SELECT id FROM big ORDER BY i DESC"), (Ids{5, 2, 1, 7, 3, 4, 6}));
+    EXPECT_EQ(ids("SELECT a.id FROM big a, big b WHERE a.i = b.r ORDER BY a.id, b.id"),
+              (Ids{1, 1, 3, 6, 7}));
+  }
+};
+
+TEST_F(NumericBoundaryTest, ScansCompareExactly) { expect_exact_answers(); }
+
+TEST_F(NumericBoundaryTest, IndexProbesCompareExactly) {
+  db.execute("CREATE INDEX big_i ON big (i)");
+  db.execute("CREATE INDEX big_r ON big (r)");
+  const auto probes = db.plans_index_probe();
+  expect_exact_answers();
+  EXPECT_GT(db.plans_index_probe(), probes);
+  // The write path probes the same index.
+  EXPECT_EQ(db.execute("UPDATE big SET r = 0.0 WHERE i = 9007199254740993").affected_rows, 1u);
+  EXPECT_EQ(db.execute("DELETE FROM big WHERE i = 9007199254740992").affected_rows, 1u);
+  EXPECT_EQ(ids("SELECT id FROM big WHERE i >= 9007199254740992 ORDER BY id"),
+            (std::vector<std::int64_t>{2, 5}));
+  EXPECT_EQ(ids("SELECT id FROM big WHERE r = 0"), (std::vector<std::int64_t>{2}));
 }
 
 // --- index maintenance across writes ---------------------------------------

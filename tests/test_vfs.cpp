@@ -461,6 +461,23 @@ TEST_F(FsTest, WriteFileReplacesFinalSymlinkAppendFollowsIt) {
   EXPECT_EQ(fs.read_file("/data"), "v1+2");
 }
 
+TEST_F(FsTest, AppendCreatingAFileSpendsOneWriteFaultTick) {
+  // Countdown 2: the first append (which creates the file) succeeds, the
+  // second fails without touching the content, and the fault disarms.
+  fs.arm_write_fault("wal", 2);
+  fs.append_file("/wal", "a");
+  EXPECT_THROW(fs.append_file("/wal", "b"), IoError);
+  EXPECT_EQ(fs.read_file("/wal"), "a");
+  fs.append_file("/wal", "c");
+  EXPECT_EQ(fs.read_file("/wal"), "ac");
+  // Countdown 1 on a missing file: the first append fails and creates nothing.
+  fs.arm_write_fault("log", 1);
+  EXPECT_THROW(fs.append_file("/log", "x"), IoError);
+  EXPECT_FALSE(fs.exists("/log"));
+  fs.append_file("/log", "y");
+  EXPECT_EQ(fs.read_file("/log"), "y");
+}
+
 // --- differential test against a reference resolver ---------------------------
 //
 // Ref is a deliberately naive re-implementation of the resolution rules
