@@ -19,8 +19,10 @@ build of each tree.
   length BENCHMARK.json sets ("run_seconds"), in A B B A order, for
   --pairs pairs.
 - For each end-to-end metric it prints each side's median and quartiles,
-  the median and quartiles of the per-pair B/A ratios, and how many pairs
-  B won.
+  the median and quartiles of the per-pair B/A ratios, how many pairs B
+  won, and a distribution-free interval for the median B/A ratio: the sign
+  test's order statistics, the narrowest with at least 90% coverage. Fewer
+  than 5 pairs cannot reach 90%, and it says so.
 - It then runs both harness binaries once with `--small --trace 1` and
   compares the per-layer metrics whose units (count, ratio, B) are exact on
   the single-threaded workloads: the layer that moved needs no statistics.
@@ -42,6 +44,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -123,6 +126,30 @@ def quartiles(values):
     return q1, median, q3
 
 
+COVERAGE = 0.90
+
+
+def sign_interval(values):
+    """Distribution-free interval for the median of `values`.
+
+    The sign test's order statistics: with the values sorted, [v(k), v(n-k+1)]
+    covers the median with probability 1 - 2 P(Binomial(n, 1/2) <= k - 1),
+    whatever the distribution. Picks the largest k whose coverage is at least
+    COVERAGE (the narrowest such interval); None when even k = 1 falls short,
+    which takes fewer than 5 values at 90%.
+    """
+    n = len(values)
+    ordered = sorted(values)
+    best = None
+    for k in range(1, n // 2 + 1):
+        below = sum(math.comb(n, j) for j in range(k)) / 2 ** n  # P(B <= k - 1)
+        coverage = 1 - 2 * below
+        if coverage < COVERAGE:
+            break
+        best = {"low": ordered[k - 1], "high": ordered[n - k], "coverage": coverage, "k": k}
+    return best
+
+
 def summarize(spec, runs):
     summary = {}
     for metric in spec["end_to_end"]:
@@ -136,20 +163,23 @@ def summarize(spec, runs):
         for side, values in (("parent", a), ("change", b), ("ratio", ratios)):
             q1, median, q3 = quartiles(values)
             entry[side] = {"median": median, "q1": q1, "q3": q3}
+        entry["ratio_interval"] = sign_interval(ratios)
         summary[name] = entry
     return summary
 
 
 def print_summary(summary):
     print(f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'B/A median [q1, q3]':>24} {'B won':>6}")
+          f"{'B/A median [q1, q3]':>24} {'B won':>6}  B/A median interval")
     for name, e in summary.items():
         side = {k: f"{e[k]['median']:.4g} [{e[k]['q1']:.4g}, {e[k]['q3']:.4g}]"
                 for k in ("parent", "change")}
-        r = e["ratio"]
+        r, ci = e["ratio"], e["ratio_interval"]
+        interval = (f"[{ci['low']:.3f}, {ci['high']:.3f}] at {ci['coverage']:.1%}" if ci
+                    else f"too few pairs for {COVERAGE:.0%} (need 5)")
         print(f"{name:<12} {side['parent']:>30} {side['change']:>30} "
               f"{r['median']:>8.3f} [{r['q1']:.3f}, {r['q3']:.3f}] "
-              f"{e['change_better_pairs']:>3}/{e['pairs']}")
+              f"{e['change_better_pairs']:>3}/{e['pairs']}  {interval}")
 
 
 def compare_layers(spec, workload, parent, change):

@@ -9,20 +9,68 @@ namespace rocks::cluster {
 
 using strings::cat;
 
+namespace {
+
+// The rebuild's scan and the per-pk re-fetch read the columns hold() reads.
+constexpr std::string_view kSelectBindings = "SELECT id, mac, name, ip FROM nodes";
+
+}  // namespace
+
 void DhcpBindingPush::push(sqldb::Database& db, netsim::DhcpServer& dhcp, Ipv4 server_ip) {
   if (!db.has_table("nodes")) return;
-  const std::uint64_t nodes_revision = db.revision("nodes");
-  if (nodes_revision == pushed_revision_) return;
-  std::map<Mac, netsim::DhcpLease> bindings;
-  const auto rows = db.execute("SELECT mac, name, ip FROM nodes ORDER BY id");
-  for (const auto& row : rows.rows) {
-    const auto mac = Mac::parse(row[0].to_string());
-    const auto ip = Ipv4::parse(row[2].to_string());
-    if (!mac || !ip) continue;
-    bindings.emplace(*mac, netsim::DhcpLease{*ip, row[1].to_string(), server_ip});
-  }
-  dhcp.configure(std::move(bindings));
-  pushed_revision_ = nodes_revision;
+  cursor_.catch_up(
+      db,
+      [&](sqldb::Database& db) {
+        mac_of_.clear();
+        holders_.clear();
+        std::map<Mac, netsim::DhcpLease> bindings;
+        const auto rows = db.execute(kSelectBindings);
+        for (std::size_t i = 0; i < rows.row_count(); ++i)
+          if (const auto bound = hold(rows, i, server_ip))
+            bindings.insert_or_assign((*bound)->first.first, (*bound)->second);
+        dhcp.configure(std::move(bindings));
+      },
+      [&](sqldb::ReadView& view, const sqldb::ChangeRecord& record) {
+        // Whatever the record did — insert, update, delete, a key or MAC
+        // change — the pk's old binding goes and its current row binds anew.
+        release(dhcp, record.pk);
+        if (record.op == sqldb::ChangeOp::kDelete) return true;
+        const auto rows =
+            view.execute(cat(kSelectBindings, " WHERE id = ", sqldb::sql_literal(record.pk)));
+        for (std::size_t i = 0; i < rows.row_count(); ++i)
+          if (const auto bound = hold(rows, i, server_ip))
+            dhcp.add_binding((*bound)->first.first, (*bound)->second);
+        return true;
+      });
+}
+
+std::optional<DhcpBindingPush::Holders::const_iterator> DhcpBindingPush::hold(
+    const sqldb::ResultSet& rows, std::size_t i, Ipv4 server_ip) {
+  const auto mac = Mac::parse(rows.rows[i][1].to_string());
+  const auto ip = Ipv4::parse(rows.rows[i][3].to_string());
+  if (!mac || !ip) return std::nullopt;
+  const sqldb::Value& pk = rows.rows[i][0];
+  const auto [it, held] = holders_.try_emplace(
+      Holder{*mac, pk}, netsim::DhcpLease{*ip, rows.rows[i][2].to_string(), server_ip});
+  if (!held) return std::nullopt;  // a duplicate id: the first row scanned keeps it
+  mac_of_.insert_or_assign(pk, *mac);
+  if (it != holders_.begin() && std::prev(it)->first.first == *mac) return std::nullopt;
+  return it;
+}
+
+void DhcpBindingPush::release(netsim::DhcpServer& dhcp, const sqldb::Value& pk) {
+  const auto owned = mac_of_.find(pk);
+  if (owned == mac_of_.end()) return;
+  const Mac mac = owned->second;
+  mac_of_.erase(owned);
+  auto it = holders_.find(Holder{mac, pk});
+  const bool was_bound = it == holders_.begin() || std::prev(it)->first.first != mac;
+  it = holders_.erase(it);
+  if (!was_bound) return;
+  if (it != holders_.end() && it->first.first == mac)
+    dhcp.add_binding(mac, it->second);  // the next-lowest id takes the MAC
+  else
+    dhcp.remove_binding(mac);
 }
 
 Frontend::Frontend(netsim::Simulator& sim, netsim::SyslogBus& syslog,

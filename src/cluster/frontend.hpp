@@ -8,8 +8,12 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "events/bus.hpp"
@@ -20,6 +24,7 @@
 #include "netsim/http.hpp"
 #include "netsim/syslog.hpp"
 #include "rocksdist/rocksdist.hpp"
+#include "services/incremental.hpp"
 #include "services/manager.hpp"
 #include "sqldb/engine.hpp"
 #include "vfs/filesystem.hpp"
@@ -32,17 +37,39 @@ struct NodeEnvironment;
 namespace rocks::cluster {
 
 /// The DHCP daemon's static bindings, pushed from the nodes table (by the
-/// Frontend and by serving Followers). push() binds every node with a
-/// parsable MAC and IP, and only when the table's revision moved since the
-/// last push, so a burst of registrations coalesces into one reconfigure.
+/// Frontend and by serving Followers). A row binds its MAC to its IP and
+/// name when both parse; a MAC held by several rows keeps the lowest id's
+/// lease. The first push, invalidate() and a truncated journal bind the
+/// whole table; after that each push applies the nodes journal's delta
+/// (DESIGN.md §10.4), so its cost tracks the change, not the cluster. Row
+/// ids are assumed unique, as in IncrementalReport.
 class DhcpBindingPush {
  public:
-  void invalidate() { pushed_revision_ = kNeverPushed; }  // force the next push
+  void invalidate() { cursor_.invalidate(); }  // force the next full push
   void push(sqldb::Database& db, netsim::DhcpServer& dhcp, Ipv4 server_ip);
 
  private:
-  static constexpr std::uint64_t kNeverPushed = ~std::uint64_t{0};
-  std::uint64_t pushed_revision_ = kNeverPushed;  // nodes revision last pushed
+  using Holder = std::pair<Mac, sqldb::Value>;  // a row's MAC and pk
+  struct HolderLess {
+    bool operator()(const Holder& a, const Holder& b) const {
+      return a.first != b.first ? a.first < b.first : a.second.compare(b.second) < 0;
+    }
+  };
+  using Holders = std::map<Holder, netsim::DhcpLease, HolderLess>;
+
+  /// Records row `i` as a holder of its MAC; returns the entry when the row
+  /// now holds the binding (the lowest id among the MAC's rows).
+  std::optional<Holders::const_iterator> hold(const sqldb::ResultSet& rows, std::size_t i,
+                                              Ipv4 server_ip);
+  /// Forgets what `pk` held, handing its MAC to the next-lowest row or
+  /// unbinding it.
+  void release(netsim::DhcpServer& dhcp, const sqldb::Value& pk);
+
+  services::JournalCursor cursor_{"nodes"};
+  /// pk -> the MAC its row holds (rows whose MAC and IP parse).
+  std::unordered_map<sqldb::Value, Mac, sqldb::ValueHash, sqldb::ValueEqual> mac_of_;
+  /// Every such row's lease, by MAC then id: a MAC's first entry is bound.
+  Holders holders_;
 };
 
 struct FrontendConfig {

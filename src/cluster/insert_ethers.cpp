@@ -1,7 +1,5 @@
 #include "cluster/insert_ethers.hpp"
 
-#include <set>
-
 #include "support/crashpoint.hpp"
 #include "support/strings.hpp"
 
@@ -33,21 +31,59 @@ void InsertEthers::set_membership(int membership, std::string basename) {
   options_.basename = std::move(basename);
 }
 
-Ipv4 InsertEthers::next_free_ip() const {
-  std::set<std::string> taken;
-  for (const auto& ip : frontend_.db().query_column("SELECT ip FROM nodes"))
-    taken.insert(ip);
-  Ipv4 candidate = options_.ip_ceiling;
-  while (taken.contains(candidate.to_string())) candidate = candidate.prev();
-  return candidate;
+namespace {
+
+constexpr std::string_view kSelectAllocation = "SELECT membership, rack, rank, ip FROM nodes";
+
+}  // namespace
+
+void InsertEthers::sync_allocator() {
+  nodes_cursor_.catch_up(
+      frontend_.db(), [this](sqldb::Database& db) { seed_allocator(db); },
+      [this](sqldb::ReadView& view, const sqldb::ChangeRecord& record) {
+        // Inserts only add taken IPs and raise ranks; anything else may free
+        // them, so it reseeds.
+        if (record.op != sqldb::ChangeOp::kInsert) return false;
+        const auto rows = view.execute(
+            cat(kSelectAllocation, " WHERE id = ", sqldb::sql_literal(record.pk)));
+        for (const sqldb::Row& row : rows.rows) take(row);
+        return true;
+      });
+}
+
+void InsertEthers::seed_allocator(sqldb::Database& db) {
+  taken_ips_.clear();
+  top_rank_.clear();
+  ip_cursor_ = options_.ip_ceiling;
+  for (const sqldb::Row& row : db.execute(kSelectAllocation).rows) take(row);
+}
+
+void InsertEthers::take(const sqldb::Row& row) {
+  // Only canonical text matches the dotted quad an allocation would write.
+  // Addresses above the cursor are known taken already.
+  const std::string ip_text = row[3].to_string();
+  if (const auto ip = Ipv4::parse(ip_text);
+      ip && ip->to_string() == ip_text && *ip <= ip_cursor_)
+    taken_ips_.insert(ip->value());
+  // The rank ORDER BY rank DESC LIMIT 1 would return: the greatest under
+  // Value::compare (text above numbers above NULL). Equal values share
+  // as_int(), so which of them wins does not matter.
+  const auto [it, fresh] = top_rank_.try_emplace(sqldb::Row{row[0], row[1]}, row[2]);
+  if (!fresh && row[2].compare(it->second) > 0) it->second = row[2];
+}
+
+Ipv4 InsertEthers::next_free_ip() {
+  while (taken_ips_.erase(ip_cursor_.value()) != 0) ip_cursor_ = ip_cursor_.prev();
+  return ip_cursor_;
 }
 
 int InsertEthers::next_rank() const {
-  const auto rows = frontend_.db().execute(
-      cat("SELECT rank FROM nodes WHERE membership = ", options_.membership,
-          " AND rack = ", options_.rack, " ORDER BY rank DESC LIMIT 1"));
-  if (rows.row_count() == 0) return 0;
-  return static_cast<int>(rows.rows[0][0].as_int()) + 1;
+  // WHERE membership = M AND rack = R: the key compares as SQL '=' does, so
+  // a REAL 2.0 rack joins rack 2 and NULL or text keys never match.
+  const auto it =
+      top_rank_.find(sqldb::Row{sqldb::Value(options_.membership), sqldb::Value(options_.rack)});
+  if (it == top_rank_.end()) return 0;
+  return static_cast<int>(it->second.as_int()) + 1;
 }
 
 bool InsertEthers::insert_node(const Mac& mac) {
@@ -56,6 +92,7 @@ bool InsertEthers::insert_node(const Mac& mac) {
       cat("SELECT name FROM nodes WHERE mac = '", mac.to_string(), "'"));
   if (existing.row_count() != 0) return false;
 
+  sync_allocator();
   const int rank = next_rank();
   const std::string name = cat(options_.basename, "-", options_.rack, "-", rank);
   const Ipv4 ip = next_free_ip();

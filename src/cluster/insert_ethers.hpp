@@ -8,7 +8,10 @@
 // respective services" (paper Section 6.4).
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/frontend.hpp"
@@ -74,7 +77,15 @@ class InsertEthers {
   /// Allocates name/rank/IP and inserts the row; false when the MAC is
   /// already registered. Does not flush.
   bool insert_node(const Mac& mac);
-  [[nodiscard]] Ipv4 next_free_ip() const;
+  /// Brings the allocation state up to date with the nodes table (DESIGN.md
+  /// §11.5): one scan seeds it, the nodes journal's inserts advance it, and
+  /// any update, delete or truncation reseeds it.
+  void sync_allocator();
+  void seed_allocator(sqldb::Database& db);
+  void take(const sqldb::Row& row);  // membership, rack, rank, ip
+  /// The highest free IP at or below the ceiling.
+  [[nodiscard]] Ipv4 next_free_ip();
+  /// One past the highest rank in the current membership and rack.
   [[nodiscard]] int next_rank() const;
 
   Frontend& frontend_;
@@ -85,6 +96,14 @@ class InsertEthers {
   bool active_ = false;
   int inserted_ = 0;
   std::vector<std::string> log_;
+
+  services::JournalCursor nodes_cursor_{"nodes"};
+  /// Every address in (ip_cursor_, ceiling] is taken; below it, the
+  /// addresses some row holds as canonical dotted-quad text.
+  Ipv4 ip_cursor_;
+  std::unordered_set<std::uint32_t> taken_ips_;
+  /// (membership, rack) -> the rank ORDER BY rank DESC puts first.
+  std::map<sqldb::Row, sqldb::Value, services::SortKeyLess> top_rank_;
 };
 
 }  // namespace rocks::cluster

@@ -30,7 +30,10 @@ class DhcpServer {
 
   /// Replaces the static binding table (a dhcpd.conf reload).
   void configure(std::map<Mac, DhcpLease> bindings);
+  /// Binds (or rebinds) one MAC without touching the others.
   void add_binding(Mac mac, DhcpLease lease);
+  void remove_binding(Mac mac) { bindings_.erase(mac); }
+  [[nodiscard]] const std::map<Mac, DhcpLease>& bindings() const { return bindings_; }
   [[nodiscard]] std::size_t binding_count() const { return bindings_.size(); }
   [[nodiscard]] bool knows(Mac mac) const { return bindings_.contains(mac); }
 

@@ -121,7 +121,7 @@ IncrementalReport::Spec hosts_report_spec() {
   spec.table = "nodes";
   spec.select_all = "SELECT id, ip, name FROM nodes ORDER BY id";
   spec.select_one = [](const sqldb::Value& pk) {
-    return cat("SELECT id, ip, name FROM nodes WHERE id = ", pk.to_string());
+    return cat("SELECT id, ip, name FROM nodes WHERE id = ", sqldb::sql_literal(pk));
   };
   // ORDER BY id: the PK is the whole sort key.
   spec.key_of = [](const sqldb::ResultSet& rows, std::size_t i) {
@@ -139,7 +139,7 @@ IncrementalReport::Spec dhcpd_report_spec(Ipv4 frontend_ip) {
   spec.table = "nodes";
   spec.select_all = "SELECT id, name, mac, ip FROM nodes ORDER BY id";
   spec.select_one = [](const sqldb::Value& pk) {
-    return cat("SELECT id, name, mac, ip FROM nodes WHERE id = ", pk.to_string());
+    return cat("SELECT id, name, mac, ip FROM nodes WHERE id = ", sqldb::sql_literal(pk));
   };
   spec.key_of = [](const sqldb::ResultSet& rows, std::size_t i) {
     return sqldb::Row{rows.at(i, 0)};
@@ -166,7 +166,7 @@ IncrementalReport::Spec pbs_nodes_report_spec(int np) {
     return cat(
         "SELECT nodes.rack, nodes.rank, nodes.id, nodes.name FROM nodes, memberships "
         "WHERE nodes.membership = memberships.id AND memberships.compute = 'yes' "
-        "AND nodes.id = ", pk.to_string());
+        "AND nodes.id = ", sqldb::sql_literal(pk));
   };
   // ORDER BY rack, rank is a stable sort over id-ordered input, so (rack,
   // rank, id) reproduces the full query's emission order exactly.

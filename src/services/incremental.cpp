@@ -13,40 +13,59 @@ bool SortKeyLess::operator()(const sqldb::Row& a, const sqldb::Row& b) const {
   return a.size() < b.size();
 }
 
-std::string IncrementalReport::render(sqldb::Database& db) {
-  // Read the cursors *before* querying: changes committed between the
-  // revision read and the SELECT are re-applied on the next render, which
-  // the idempotent re-fetch tolerates.
-  const std::uint64_t revision = db.revision(spec_.table);
+std::size_t JournalCursor::catch_up(sqldb::Database& db, const Rebuild& rebuild,
+                                    const Apply& apply) {
   std::vector<std::uint64_t> rescan_now;
-  rescan_now.reserve(spec_.rescan_tables.size());
-  for (const std::string& table : spec_.rescan_tables)
-    rescan_now.push_back(db.revision(table));
+  rescan_now.reserve(rescan_tables_.size());
+  for (const std::string& table : rescan_tables_) rescan_now.push_back(db.revision(table));
 
-  bool full = !primed_ || rescan_now != rescan_cursors_;
+  // Read the cursor *before* any query: changes committed between since()
+  // and the rebuild or re-fetch are applied again on the next call.
   support::ChannelDelta<sqldb::ChangeRecord> delta;
-  if (!full) {
-    delta = db.since(spec_.table, cursor_);
-    full = delta.truncated;
-  }
-
-  if (full) {
-    rebuild(db);
-    cursor_ = revision;
+  if (primed_ && rescan_now == rescan_cursors_) {
+    delta = db.since(table_, cursor_);
   } else {
-    // One pinned read view for the whole delta: every per-PK re-fetch
-    // resolves against the same committed state, so a writer landing
-    // mid-delta cannot make two re-fetched lines disagree. The view is
-    // pinned *after* since(), so it sees at least the delta's revision;
-    // anything newer it happens to observe is re-applied idempotently on
-    // the next render.
-    sqldb::ReadView view = db.read_view();
-    for (const sqldb::ChangeRecord& record : delta.records) apply_one(view, record);
-    if (!delta.records.empty()) ++delta_applies_;
-    cursor_ = delta.seq;
+    delta.truncated = true;
+    delta.seq = db.revision(table_);
   }
+  std::size_t applied = 0;
+  try {
+    bool full = delta.truncated;
+    if (!full && !delta.records.empty()) {
+      // One pinned read view for the whole delta: every re-fetch resolves
+      // against the same committed state, so a writer landing mid-delta
+      // cannot make two re-fetched rows disagree.
+      sqldb::ReadView view = db.read_view();
+      for (const sqldb::ChangeRecord& record : delta.records) {
+        if (!apply(view, record)) {
+          full = true;
+          break;
+        }
+        ++applied;
+      }
+    }
+    if (full) {
+      rebuild(db);
+      applied = 0;
+    }
+  } catch (...) {
+    primed_ = false;
+    throw;
+  }
+  cursor_ = delta.seq;
   rescan_cursors_ = std::move(rescan_now);
   primed_ = true;
+  return applied;
+}
+
+std::string IncrementalReport::render(sqldb::Database& db) {
+  const std::size_t applied = cursor_.catch_up(
+      db, [this](sqldb::Database& db) { rebuild(db); },
+      [this](sqldb::ReadView& view, const sqldb::ChangeRecord& record) {
+        apply_one(view, record);
+        return true;
+      });
+  if (applied > 0) ++delta_applies_;
 
   std::string out = spec_.header;
   out.reserve(std::max(out.size(), last_render_size_));  // one allocation, not log N

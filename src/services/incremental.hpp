@@ -18,6 +18,11 @@
 // state by primary key, so replaying a suffix of the journal twice (the
 // cursor is only advanced to the delta's revision, while the re-fetch may
 // observe newer commits) converges instead of corrupting.
+//
+// The journal loop itself — cursor, since(), rebuild when the journal cannot
+// say what changed, re-fetch through one pinned read view — is JournalCursor,
+// shared with the DHCP binding push and insert-ethers' allocator (DESIGN.md
+// §10.3).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +40,37 @@ namespace rocks::services {
 /// query, expressed over extracted sort keys.
 struct SortKeyLess {
   bool operator()(const sqldb::Row& a, const sqldb::Row& b) const;
+};
+
+/// One consumer's cursor on one table's change journal: the loop every
+/// journal-fed view runs. catch_up() brings the view up to date either by
+/// `rebuild` (a full scan) or by `apply` per journal record, against one
+/// pinned read view. It rebuilds on the first call, after invalidate(), when
+/// the journal was truncated, when a rescan table moved, and when `apply`
+/// returns false ("this record cannot be applied
+/// incrementally"). A throw from either callback leaves the cursor
+/// unprimed, so the next call rebuilds. Views must tolerate a record applied
+/// twice: a re-fetch may already see commits the cursor has not reached.
+class JournalCursor {
+ public:
+  using Rebuild = std::function<void(sqldb::Database&)>;
+  using Apply = std::function<bool(sqldb::ReadView&, const sqldb::ChangeRecord&)>;
+
+  explicit JournalCursor(std::string table, std::vector<std::string> rescan_tables = {})
+      : table_(std::move(table)), rescan_tables_(std::move(rescan_tables)) {}
+
+  /// Forces the next catch_up() to rebuild.
+  void invalidate() { primed_ = false; }
+
+  /// Returns how many records were applied (0 after a rebuild).
+  std::size_t catch_up(sqldb::Database& db, const Rebuild& rebuild, const Apply& apply);
+
+ private:
+  std::string table_;
+  std::vector<std::string> rescan_tables_;
+  bool primed_ = false;
+  std::uint64_t cursor_ = 0;                   // table_'s journal revision
+  std::vector<std::uint64_t> rescan_cursors_;  // parallel to rescan_tables_
 };
 
 class IncrementalReport {
@@ -59,7 +95,8 @@ class IncrementalReport {
     std::function<std::string(const sqldb::ResultSet&, std::size_t)> render_row;
   };
 
-  explicit IncrementalReport(Spec spec) : spec_(std::move(spec)) {}
+  explicit IncrementalReport(Spec spec)
+      : cursor_(spec.table, spec.rescan_tables), spec_(std::move(spec)) {}
 
   /// Renders the report, incrementally when the journal permits. Matches
   /// ServiceManager::Generator once wrapped in a lambda. Not re-entrant.
@@ -81,10 +118,8 @@ class IncrementalReport {
   void upsert(const sqldb::Value& pk, sqldb::Row key, std::string line);
   void erase_pk(const sqldb::Value& pk);
 
+  JournalCursor cursor_;
   Spec spec_;
-  bool primed_ = false;
-  std::uint64_t cursor_ = 0;                  // driving table's journal cursor
-  std::vector<std::uint64_t> rescan_cursors_; // parallel to spec_.rescan_tables
 
   std::map<sqldb::Row, std::string, SortKeyLess> lines_;  // sort key -> line
   std::unordered_map<sqldb::Value, sqldb::Row, sqldb::ValueHash, sqldb::ValueEqual>

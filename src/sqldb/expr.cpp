@@ -1,5 +1,7 @@
 #include "sqldb/expr.hpp"
 
+#include <limits>
+
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -56,6 +58,12 @@ ExprPtr Expr::is_null(ExprPtr operand, bool negated) {
 
 namespace {
 
+constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
+
+[[noreturn]] void throw_int_overflow(std::string_view op) {
+  throw StateError(strings::cat("INT overflow in '", op, "'"));
+}
+
 Value compare_result(const Value& lhs, const Value& rhs, BinaryOp op) {
   if (lhs.is_null() || rhs.is_null()) return Value::null();
   const int cmp = lhs.compare(rhs);
@@ -78,15 +86,24 @@ Value arithmetic_result(const Value& lhs, const Value& rhs, BinaryOp op) {
   if (integral) {
     const std::int64_t a = lhs.as_int();
     const std::int64_t b = rhs.as_int();
+    std::int64_t out = 0;
     switch (op) {
-      case BinaryOp::kAdd: return Value(a + b);
-      case BinaryOp::kSub: return Value(a - b);
-      case BinaryOp::kMul: return Value(a * b);
+      case BinaryOp::kAdd:
+        if (__builtin_add_overflow(a, b, &out)) throw_int_overflow("+");
+        return Value(out);
+      case BinaryOp::kSub:
+        if (__builtin_sub_overflow(a, b, &out)) throw_int_overflow("-");
+        return Value(out);
+      case BinaryOp::kMul:
+        if (__builtin_mul_overflow(a, b, &out)) throw_int_overflow("*");
+        return Value(out);
       case BinaryOp::kDiv:
         if (b == 0) return Value::null();
+        if (a == kIntMin && b == -1) throw_int_overflow("/");  // the one quotient past INT64_MAX
         return Value(a / b);
       case BinaryOp::kMod:
         if (b == 0) return Value::null();
+        if (b == -1) return Value(std::int64_t{0});  // INT64_MIN % -1 traps in hardware
         return Value(a % b);
       default: break;
     }
@@ -121,6 +138,7 @@ Value Expr::evaluate(const RowContext& row) const {
       }
       if (v.is_null()) return Value::null();
       if (v.type() == Type::kReal) return Value(-v.as_real());
+      if (v.type() == Type::kInt && v.as_int() == kIntMin) throw_int_overflow("-");
       return Value(-v.as_int());
     }
     case Kind::kBinary: {

@@ -1,6 +1,7 @@
 #include "sqldb/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "support/error.hpp"
@@ -46,12 +47,17 @@ std::vector<Token> lex(std::string_view sql) {
         while (i < sql.size() && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
       const std::string text(sql.substr(start, i - start));
+      // A literal past INT64_MAX reads as REAL rather than saturating.
+      if (!is_real) {
+        const auto [end, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), token.int_value);
+        is_real = ec == std::errc::result_out_of_range;
+      }
       if (is_real) {
         token.kind = TokenKind::kReal;
         token.real_value = std::strtod(text.c_str(), nullptr);
       } else {
         token.kind = TokenKind::kInt;
-        token.int_value = std::strtoll(text.c_str(), nullptr, 10);
       }
       token.text = text;
       out.push_back(std::move(token));

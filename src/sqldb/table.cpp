@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/error.hpp"
@@ -45,9 +46,13 @@ Value Table::coerce(const Value& value, Type type) {
       if (value.type() == Type::kText) {
         char* end = nullptr;
         const std::string& text = value.as_text();
+        errno = 0;
         const long long parsed = std::strtoll(text.c_str(), &end, 10);
-        if (end != nullptr && *end == '\0') return Value(static_cast<std::int64_t>(parsed));
-        return value;  // keep text if not numeric (lenient, like MySQL would warn)
+        // Keep text that is not numeric, or past the INT range (lenient,
+        // like MySQL would warn).
+        if (end != nullptr && *end == '\0' && errno != ERANGE)
+          return Value(static_cast<std::int64_t>(parsed));
+        return value;
       }
       return Value(value.as_int());
     case Type::kReal:

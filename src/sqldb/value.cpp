@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
 
 namespace rocks::sqldb {
@@ -19,9 +20,22 @@ Type Value::type() const {
   }
 }
 
+namespace {
+
+// 2^63: the first double above every int64. Doubles in [-2^63, 2^63)
+// truncate to an int64 exactly.
+constexpr double kTwo63 = 9223372036854775808.0;
+
+}  // namespace
+
 std::int64_t Value::as_int() const {
   if (auto* i = std::get_if<std::int64_t>(&data_)) return *i;
-  if (auto* d = std::get_if<double>(&data_)) return static_cast<std::int64_t>(*d);
+  if (auto* d = std::get_if<double>(&data_)) {
+    // NaN fails both tests; outside the range the cast is undefined.
+    if (!(*d >= -kTwo63 && *d < kTwo63))
+      throw StateError(strings::cat("Value::as_int: REAL ", *d, " is outside the INT range"));
+    return static_cast<std::int64_t>(*d);
+  }
   throw StateError("Value::as_int on non-numeric value");
 }
 
@@ -63,10 +77,6 @@ bool Value::truthy() const {
 }
 
 namespace {
-
-// 2^63: the first double above every int64. Doubles in [-2^63, 2^63)
-// truncate to an int64 exactly.
-constexpr double kTwo63 = 9223372036854775808.0;
 
 template <typename T>
 int three_way(T x, T y) {
@@ -129,6 +139,14 @@ std::string sql_text(std::string_view text) {
   }
   out += '\'';
   return out;
+}
+
+std::string sql_literal(const Value& value) {
+  switch (value.type()) {
+    case Type::kReal: return sql_real(value.as_real());
+    case Type::kText: return sql_text(value.as_text());
+    default: return value.to_string();  // NULL, INT
+  }
 }
 
 std::string sql_real(double value) {

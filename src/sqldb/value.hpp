@@ -71,6 +71,10 @@ struct ValueEqual {
 /// original text verbatim.
 [[nodiscard]] std::string sql_text(std::string_view text);
 
+/// SQL literal that reads back as `value`: NULL, an INT, sql_real() or
+/// sql_text(). Re-fetching a row by a key of any type splices it with this.
+[[nodiscard]] std::string sql_literal(const Value& value);
+
 /// Round-trippable SQL REAL literal (%.17g): a value read back from a
 /// recovered row compares equal to the one that was written.
 [[nodiscard]] std::string sql_real(double value);

@@ -3,10 +3,14 @@
 // and the update workflow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "registration_churn.hpp"
+#include "services/generators.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -539,6 +543,65 @@ TEST_F(ClusterTest, ServerCapacityUpgradeMidPulse) {
   EXPECT_GT(makespan, 618.0 - 1.0);
   EXPECT_TRUE(cluster.consistent());
 }
+
+// --- registration under operator edits ---------------------------------------
+
+TEST_F(ClusterTest, RowsWithTextIdsRefetchUnderTheirOwnKey) {
+  // An UPDATE stores its value uncoerced, so an operator can give a row a
+  // TEXT id. Every journal consumer re-fetches it under that key: the
+  // reports stay equal to a full render and the DHCP binding follows it.
+  Cluster cluster(small_config());
+  for (int i = 0; i < 3; ++i) cluster.add_node();
+  cluster.integrate_all();
+  Frontend& frontend = cluster.frontend();
+  frontend.db().execute("UPDATE nodes SET id = 'spare', name = 'spare-0-1' WHERE id = 3");
+  EXPECT_TRUE(frontend.flush_services().failed.empty());
+  EXPECT_EQ(frontend.fs().read_file("/etc/hosts"), services::generate_hosts(frontend.db()));
+  EXPECT_EQ(frontend.fs().read_file("/etc/dhcpd.conf"),
+            services::generate_dhcpd_conf(frontend.db(), frontend.config().ip));
+  EXPECT_EQ(churn::describe(frontend.dhcp().bindings()),
+            churn::describe(churn::reference_bindings(frontend.db(), frontend.config().ip)));
+  const auto lines = churn::describe(frontend.dhcp().bindings());
+  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& line) {
+                            return line.find(" spare-0-1 ") != std::string::npos;
+                          }),
+            1);
+}
+
+/// Seeded registrations interleaved with SQL edits of the nodes table. Each
+/// registration must take the rank and IP the full-scan queries give, and
+/// after every flush_services() the DHCP bindings must equal a full push.
+/// The second parameter is the journal's changelog bound: at 4 most flushes
+/// read a truncated journal and rebuild, at 1024 they apply deltas.
+class RegistrationUnderOperatorEdits
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {};
+
+TEST_P(RegistrationUnderOperatorEdits, AllocatorAndBindingsMatchFullScans) {
+  const auto [seed, capacity] = GetParam();
+  ClusterConfig config;
+  config.synth.filler_packages = 20;
+  Cluster cluster(std::move(config));
+  Frontend& frontend = cluster.frontend();
+  frontend.db().journal().set_capacity(capacity);
+  churn::RegistrationChurn churn(frontend, cluster.insert_ethers(), seed);
+  int registered = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::string what = churn.step();
+    frontend.flush_services();
+    ASSERT_EQ(churn::describe(frontend.dhcp().bindings()),
+              churn::describe(churn::reference_bindings(frontend.db(), frontend.config().ip)))
+        << "step " << i << ": " << what;
+    registered = cluster.insert_ethers().nodes_inserted();
+  }
+  // The run really integrated nodes between edits, and hit refusals.
+  EXPECT_GT(registered, 60);
+  EXPECT_GT(churn.refused(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RegistrationUnderOperatorEdits,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                                            ::testing::Values(std::size_t{1024}, std::size_t{4})));
 
 }  // namespace
 }  // namespace rocks::cluster

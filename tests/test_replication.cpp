@@ -16,6 +16,7 @@
 #include "batch/scheduler.hpp"
 #include "cluster/cluster.hpp"
 #include "kickstart/server.hpp"
+#include "registration_churn.hpp"
 #include "netsim/fault.hpp"
 #include "replication/control_plane.hpp"
 #include "replication/follower.hpp"
@@ -786,6 +787,55 @@ TEST_P(LiveReplayReplica, DumpsAgreeAcrossLeaderRecoveryAndFollower) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveReplayReplica,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
                                             ::testing::Bool()));
+
+// --- follower DHCP bindings under operator edits -----------------------------
+
+/// The registration churn of test_cluster's differential test, run on a
+/// leader: a serving follower fed by shipments — and, midway, by a snapshot
+/// bootstrap — must keep DHCP bindings equal to a full push of its table.
+class FollowerBindingsUnderOperatorEdits : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FollowerBindingsUnderOperatorEdits, MatchAFullPushThroughShipmentsAndBootstrap) {
+  vfs::FileSystem state;
+  cluster::Cluster cluster(durable_config(state));
+  cluster::Frontend& frontend = cluster.frontend();
+  ControlPlane cp(cluster.sim(), ControlPlaneConfig{.max_log_groups = 8});
+  cp.lead(frontend.db(), "frontend-0");
+  FollowerConfig config;
+  config.name = "frontend-1";
+  config.syslog = &cluster.syslog();
+  cp.add_follower(config, &cluster.distro());
+  cp.pump();
+  Follower& follower = cp.follower(0);
+  churn::RegistrationChurn churn(frontend, cluster.insert_ethers(), GetParam());
+
+  const auto steps = [&](int count, bool shipped) {
+    for (int i = 0; i < count; ++i) {
+      const std::string what = churn.step();
+      frontend.flush_services();
+      if (!shipped) continue;
+      cp.pump();
+      ASSERT_EQ(follower.last_lsn(), frontend.db().last_lsn()) << what;
+      ASSERT_EQ(churn::describe(follower.environment().dhcp->bindings()),
+                churn::describe(churn::reference_bindings(follower.db(), config.ip)))
+          << "step " << i << ": " << what;
+    }
+  };
+  steps(120, true);
+  const std::uint64_t bootstraps = follower.bootstraps();
+  cp.link(0).sever();
+  steps(40, false);  // evicts far past the follower's cursor
+  cp.link(0).restore();
+  cluster.sim().run_until(cluster.sim().now() + 120.0);
+  cp.pump();
+  ASSERT_EQ(follower.bootstraps(), bootstraps + 1);
+  ASSERT_EQ(follower.db().dump_state(), frontend.db().dump_state());
+  EXPECT_EQ(churn::describe(follower.environment().dhcp->bindings()),
+            churn::describe(churn::reference_bindings(follower.db(), config.ip)));
+  steps(120, true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FollowerBindingsUnderOperatorEdits, ::testing::Values(1u, 2u));
 
 }  // namespace
 }  // namespace rocks

@@ -530,6 +530,82 @@ TEST_F(NumericBoundaryTest, IndexProbesCompareExactly) {
   EXPECT_EQ(ids("SELECT id FROM big WHERE r = 0"), (std::vector<std::int64_t>{2}));
 }
 
+// --- INT range edges: overflow fails the statement, nothing saturates --------
+
+class IntEdgeTest : public DbTest {
+ protected:
+  void SetUp() override {
+    DbTest::SetUp();
+    db.execute("CREATE TABLE t (v INT)");
+    db.execute("INSERT INTO t VALUES (1)");
+  }
+
+  Value one(const std::string& sql) {
+    const ResultSet rows = db.execute(sql);
+    EXPECT_EQ(rows.row_count(), 1u) << sql;
+    return rows.row_count() == 0 ? Value::null() : rows.rows[0][0];
+  }
+};
+
+TEST_F(IntEdgeTest, ArithmeticOverflowFailsTheStatement) {
+  EXPECT_THROW(db.execute("SELECT 9223372036854775807 + v FROM t"), Error);
+  EXPECT_THROW(db.execute("SELECT (-9223372036854775807 - 1) - v FROM t"), Error);
+  EXPECT_THROW(db.execute("SELECT 4611686018427387904 * (v + 1) FROM t"), Error);
+  EXPECT_THROW(db.execute("SELECT (-9223372036854775807 - 1) / -1 FROM t"), Error);
+  EXPECT_THROW(db.execute("SELECT -((-9223372036854775807 - 1) * v) FROM t"), Error);
+  // The results that fit are still exact.
+  EXPECT_EQ(one("SELECT 9223372036854775806 + v FROM t").as_int(), kMax);
+  EXPECT_EQ(one("SELECT (-9223372036854775807 - 1) * v FROM t").as_int(), kMin);
+  EXPECT_EQ(one("SELECT (-9223372036854775807 - 1) / 1 FROM t").as_int(), kMin);
+  EXPECT_EQ(one("SELECT -(9223372036854775807 * v) FROM t").as_int(), -kMax);
+  EXPECT_EQ(one("SELECT (-9223372036854775807 - 1) % -1 FROM t").as_int(), 0);
+  EXPECT_EQ(one("SELECT -7 % -1 FROM t").as_int(), 0);
+  // A write whose expression overflows changes nothing.
+  EXPECT_THROW(db.execute("UPDATE t SET v = v + 9223372036854775807"), Error);
+  EXPECT_EQ(one("SELECT v FROM t").as_int(), 1);
+}
+
+TEST_F(IntEdgeTest, LiteralPastInt64MaxReadsAsReal) {
+  db.execute("INSERT INTO t VALUES (9223372036854775807)");
+  EXPECT_EQ(db.execute("SELECT v FROM t WHERE v = 9223372036854775808").row_count(), 0u);
+  EXPECT_EQ(db.execute("SELECT v FROM t WHERE v < 9223372036854775808").row_count(), 2u);
+  const Value big = one("SELECT 18446744073709551616 FROM t WHERE v = 1");
+  EXPECT_EQ(big.type(), Type::kReal);
+  EXPECT_EQ(big.as_real(), 18446744073709551616.0);
+  EXPECT_EQ(one("SELECT 9223372036854775807 FROM t WHERE v = 1").type(), Type::kInt);
+}
+
+TEST_F(IntEdgeTest, OutOfRangeNumericTextStaysText) {
+  db.execute("INSERT INTO t VALUES ('99999999999999999999'), ('-99999999999999999999')");
+  db.execute("INSERT INTO t VALUES ('9223372036854775807'), ('-9223372036854775808')");
+  const ResultSet rows = db.execute("SELECT v FROM t");
+  ASSERT_EQ(rows.row_count(), 5u);
+  EXPECT_EQ(rows.rows[1][0].type(), Type::kText);
+  EXPECT_EQ(rows.rows[1][0].as_text(), "99999999999999999999");
+  EXPECT_EQ(rows.rows[2][0].type(), Type::kText);
+  EXPECT_EQ(rows.rows[2][0].as_text(), "-99999999999999999999");
+  EXPECT_EQ(rows.rows[3][0].as_int(), kMax);
+  EXPECT_EQ(rows.rows[4][0].as_int(), kMin);
+  EXPECT_EQ(db.execute("SELECT v FROM t WHERE v = 9223372036854775807").row_count(), 1u);
+}
+
+TEST_F(IntEdgeTest, RealOutsideIntRangeIsRefusedByAnIntColumn) {
+  EXPECT_THROW(db.execute("INSERT INTO t VALUES (100000000000000000000000.0)"), Error);
+  EXPECT_THROW(db.execute("INSERT INTO t VALUES (-100000000000000000000000.0)"), Error);
+  EXPECT_THROW(db.execute("INSERT INTO t VALUES (9223372036854775808)"), Error);
+  EXPECT_EQ(db.execute("SELECT v FROM t").row_count(), 1u);
+  EXPECT_EQ(one("SELECT v FROM t").as_int(), 1);
+  // -2^63 is INT64_MIN exactly, so it fits.
+  db.execute("INSERT INTO t VALUES (-9223372036854775808.0)");
+  EXPECT_EQ(db.execute("SELECT v FROM t WHERE v = -9223372036854775807 - 1").row_count(), 1u);
+
+  EXPECT_THROW((void)Value(std::numeric_limits<double>::quiet_NaN()).as_int(), Error);
+  EXPECT_THROW((void)Value(std::numeric_limits<double>::infinity()).as_int(), Error);
+  EXPECT_THROW((void)Value(kTwo63).as_int(), Error);
+  EXPECT_EQ(Value(-kTwo63).as_int(), kMin);
+  EXPECT_EQ(Value(-2.9).as_int(), -2);
+}
+
 // --- index maintenance across writes ---------------------------------------
 
 TEST_F(PlannerTest, InsertAddsRowsToExistingIndex) {
