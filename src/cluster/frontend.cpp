@@ -181,9 +181,9 @@ std::string Frontend::nis_passwd_map() {
 
 rocksdist::DistReport Frontend::rebuild_distribution() {
   auto report = rocksdist_.dist(configuration_.files, configuration_.graph);
-  // The distribution contents changed: publish so the kickstart profile
-  // cache (subscribed to this channel) rebuilds — previously this required
-  // remembering to call invalidate_profiles() by hand.
+  // The distribution contents changed. The kickstart profile cache and the
+  // install images see the new Repository revision on their own; the bus
+  // tells every other subscriber of this channel.
   db_.journal().touch(kickstart::Generator::kDistributionChannel);
   return report;
 }
@@ -200,7 +200,7 @@ NodeEnvironment Frontend::environment() {
   env.dhcp = &dhcp_;
   env.kickstart = kickstart_server_.get();
   env.http = &http_;
-  env.distribution = &rocksdist_.distribution();
+  env.images = &images_;
   return env;
 }
 

@@ -24,6 +24,7 @@
 #include "netsim/http.hpp"
 #include "netsim/syslog.hpp"
 #include "rocksdist/rocksdist.hpp"
+#include "rpm/image.hpp"
 #include "services/incremental.hpp"
 #include "services/manager.hpp"
 #include "sqldb/engine.hpp"
@@ -153,6 +154,9 @@ class Frontend {
   [[nodiscard]] const rpm::Repository& distribution() const {
     return rocksdist_.distribution();
   }
+  /// The install images nodes reinstall from, one per (arch, package list)
+  /// of the current distribution (DESIGN.md §14.5).
+  [[nodiscard]] rpm::InstallImageCache& install_images() { return images_; }
 
   /// Installs the replication commit barrier (DESIGN.md §12.4): invoked by
   /// flush_services() after the local WAL durability flush and before any
@@ -208,6 +212,7 @@ class Frontend {
   sqldb::Database db_;
   kickstart::DefaultConfiguration configuration_;
   rocksdist::RocksDist rocksdist_;
+  rpm::InstallImageCache images_{rocksdist_.distribution()};
   netsim::HttpServerGroup http_;
   netsim::DhcpServer dhcp_;
   std::unique_ptr<kickstart::KickstartServer> kickstart_server_;

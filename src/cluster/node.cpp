@@ -145,7 +145,7 @@ void Node::repoint(const NodeEnvironment& env) {
   if (env.dhcp != nullptr) env_.dhcp = env.dhcp;
   if (env.kickstart != nullptr) env_.kickstart = env.kickstart;
   if (env.http != nullptr) env_.http = env.http;
-  if (env.distribution != nullptr) env_.distribution = env.distribution;
+  if (env.images != nullptr) env_.images = env.images;
   if (env.peers != nullptr) env_.peers = env.peers;
 }
 
@@ -208,33 +208,30 @@ void Node::request_kickstart() {
 }
 
 void Node::begin_download(const kickstart::KickstartFile& profile) {
-  require_state(env_.http != nullptr && env_.distribution != nullptr,
+  require_state(env_.http != nullptr && env_.images != nullptr,
                 "node has no HTTP distribution wired");
   set_state(NodeState::kInstalling);
 
-  const rpm::Resolution resolution =
-      rpm::resolve(*env_.distribution, profile.packages(), arch_);
+  // Every node asking for this package list on this arch shares one image.
+  std::shared_ptr<const rpm::InstallImage> image =
+      env_.images->image(profile.packages(), arch_);
+  const rpm::Resolution& resolution = image->resolution;
   if (!resolution.complete())
     log(cat("WARNING: ", resolution.missing.size(),
             " requirements missing from the distribution (first: ", resolution.missing[0],
             ")"));
 
-  double driver_build = 0.0;
-  for (const rpm::Package* pkg : resolution.install_order)
-    if (pkg->is_source) driver_build += pkg->build_seconds;
-
-  const auto bytes = static_cast<double>(resolution.total_bytes());
+  const auto bytes = static_cast<double>(image->total_bytes);
   EkvProgress progress;
   progress.total_packages = resolution.install_order.size();
-  progress.total_bytes = resolution.total_bytes();
+  progress.total_bytes = image->total_bytes;
   ekv_.set_progress(progress);
   log(cat("downloading ", resolution.install_order.size(), " packages, ",
           fixed(bytes / (1024.0 * 1024.0), 0), " MB over HTTP"));
 
   job_ = std::make_unique<InstallJob>();
   job_->profile = profile;
-  job_->resolution = resolution;
-  job_->driver_build_seconds = driver_build;
+  job_->image = std::move(image);
   job_->bytes_remaining = bytes;
   start_download();
 }
@@ -245,7 +242,7 @@ void Node::start_download() {
     // The swarm resumes from its chunk cache, so every (re)request asks for
     // the full payload; the abort callback reports total bytes held, from
     // which the remainder is derived for the log and the failure ledger.
-    const auto total = static_cast<double>(job_->resolution.total_bytes());
+    const auto total = static_cast<double>(job_->image->total_bytes);
     env_.peers->fetch(
         static_cast<std::uint32_t>(peer_endpoint_), total, timings_.install_demand,
         [this, epoch] {
@@ -349,14 +346,14 @@ void Node::disarm_watchdog() {
 
 void Node::finish_install() {
   const kickstart::KickstartFile& profile = job_->profile;
-  const rpm::Resolution& resolution = job_->resolution;
-  const double driver_build_seconds = job_->driver_build_seconds;
-  bytes_downloaded_ += resolution.total_bytes();
+  const rpm::InstallImage& image = *job_->image;
+  const double driver_build_seconds = image.build_seconds;
+  bytes_downloaded_ += image.total_bytes;
 
-  // The root partition is rebuilt from scratch; /state/partition1 survives.
-  fs_.wipe_root_partition();
-  rpmdb_.clear();
-  for (const rpm::Package* pkg : resolution.install_order) rpmdb_.install(*pkg, fs_);
+  // The root partition is rebuilt from the image, shared copy-on-write with
+  // every node that installed it; /state/partition1 survives.
+  fs_.wipe_root_partition(&image.tree);
+  rpmdb_ = image.packages;
 
   // Materialize the %post sections: each runs as a script, and its already
   // localized body lands under /etc/rc.d/rocks-post.d (node-specific

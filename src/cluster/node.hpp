@@ -31,8 +31,8 @@
 #include "netsim/http.hpp"
 #include "netsim/peer.hpp"
 #include "netsim/syslog.hpp"
+#include "rpm/image.hpp"
 #include "rpm/rpmdb.hpp"
-#include "rpm/solver.hpp"
 #include "support/rng.hpp"
 #include "vfs/filesystem.hpp"
 
@@ -107,7 +107,8 @@ struct NodeEnvironment {
   netsim::DhcpServer* dhcp = nullptr;
   kickstart::KickstartServer* kickstart = nullptr;
   netsim::HttpServerGroup* http = nullptr;
-  const rpm::Repository* distribution = nullptr;  // what HTTP serves
+  /// Install images of the distribution HTTP serves (DESIGN.md §14.5).
+  rpm::InstallImageCache* images = nullptr;
   /// Optional peer-assisted distribution (DESIGN.md §14). When wired — and
   /// the node has joined via join_peer_network() — package downloads go
   /// through the swarm instead of straight to the HTTP group.
@@ -168,7 +169,8 @@ class Node {
   void install_rogue_package(const rpm::Package& package);
   /// Replaces this node's software state with a bit-copy of `model`'s root
   /// partition and package database — the disk-cloning baseline's apply
-  /// step. Only meaningful while running.
+  /// step. Only meaningful while running. The copy is copy-on-write, so it
+  /// costs O(entries in /), not O(files).
   void clone_software_from(const Node& model);
 
   // --- processes (the cluster-kill substrate) --------------------------------
@@ -221,8 +223,7 @@ class Node {
   /// aborted flow re-requests only the bytes it is still missing.
   struct InstallJob {
     kickstart::KickstartFile profile;
-    rpm::Resolution resolution;
-    double driver_build_seconds = 0.0;
+    std::shared_ptr<const rpm::InstallImage> image;  // what the download installs
     double bytes_remaining = 0.0;
     int retries = 0;  // against NodeTimings::download_retry_budget
   };

@@ -54,12 +54,15 @@ std::string localize(std::string_view text, const NodeConfig& config) {
 
 Generator::Generator(const NodeFileSet& files, const Graph& graph,
                      const rpm::Repository* distro, sqldb::ChangeJournal* bus)
-    : files_(files), graph_(graph), distro_(distro), bus_(bus) {
+    : files_(files),
+      graph_(graph),
+      distro_(distro),
+      bus_(bus),
+      distro_revision_(distro != nullptr ? distro->revision() : 0) {
   if (bus_ == nullptr) return;
   // One subscription per kickstart input channel; callbacks only flip the
   // stale flag, so they are safe from any publishing thread.
-  for (const std::string_view channel :
-       {kGraphChannel, kNodeFilesChannel, kDistributionChannel}) {
+  for (const std::string_view channel : {kGraphChannel, kNodeFilesChannel}) {
     subscriptions_.push_back(bus_->subscribe(
         channel, [this](std::string_view, std::uint64_t) { mark_stale(); }));
   }
@@ -128,25 +131,29 @@ void Generator::flush_stripes() const {
 std::shared_ptr<const Generator::Profile> Generator::profile_for(
     const std::string& appliance, const std::string& arch) const {
   // Two staleness sources feed one flush: the bus-set stale flag, and the
-  // polled Graph/NodeFileSet revision counters (files_.get_mutable() bumps
-  // its revision, so edits made through it are caught even without a bus).
-  // Double-checked under flush_mutex_ so concurrent requests flush once,
-  // not once each.
+  // polled Graph/NodeFileSet/Repository revision counters
+  // (files_.get_mutable() bumps its revision, so edits made through it are
+  // caught even without a bus). Double-checked under flush_mutex_ so
+  // concurrent requests flush once, not once each.
   const std::uint64_t graph_now = graph_.revision();
   const std::uint64_t files_now = files_.revision();
+  const std::uint64_t distro_now = distro_ != nullptr ? distro_->revision() : 0;
   if (stale_.load(std::memory_order_acquire) ||
       graph_revision_.load(std::memory_order_acquire) != graph_now ||
-      files_revision_.load(std::memory_order_acquire) != files_now) {
+      files_revision_.load(std::memory_order_acquire) != files_now ||
+      distro_revision_.load(std::memory_order_acquire) != distro_now) {
     std::lock_guard<std::mutex> lock(flush_mutex_);
     // Consume the flag before flushing: a publisher racing this flush
     // re-marks stale and the *next* request flushes again, never missing.
     const bool was_stale = stale_.exchange(false, std::memory_order_acq_rel);
     if (was_stale ||
         graph_revision_.load(std::memory_order_relaxed) != graph_now ||
-        files_revision_.load(std::memory_order_relaxed) != files_now) {
+        files_revision_.load(std::memory_order_relaxed) != files_now ||
+        distro_revision_.load(std::memory_order_relaxed) != distro_now) {
       flush_stripes();
       graph_revision_.store(graph_now, std::memory_order_release);
       files_revision_.store(files_now, std::memory_order_release);
+      distro_revision_.store(distro_now, std::memory_order_release);
     }
   }
 

@@ -5,27 +5,26 @@
 // so the appliance-level work (graph traversal, package merge, distribution
 // pruning, header assembly) is memoized per (appliance, arch) as a Profile
 // skeleton; each request only substitutes the @MARKER@s for its node. The
-// cache self-invalidates on Graph/NodeFileSet revision changes and on bus
-// notifications; distribution (Repository) edits publish on
-// kDistributionChannel (or call invalidate_profiles() when bus-less) — see
-// DESIGN.md §8.3 and §10 for the contract.
+// cache self-invalidates on Graph, NodeFileSet and Repository revision
+// changes and on bus notifications — see DESIGN.md §8.3 and §10.
 //
 // Concurrency (DESIGN.md §9): generate() may be called from many threads at
 // once (KickstartServer::handle_many). The profile cache is lock-striped —
 // (appliance, arch) hashes to one of kStripes shards, each with its own
 // reader-writer lock — so a mass reinstall's cache hits never contend on a
 // single mutex. Profiles are handed out as shared_ptr snapshots: a reader
-// mid-generate keeps its profile alive even if invalidate_profiles() runs
+// mid-generate keeps its profile alive even if mark_stale() runs
 // concurrently. The Graph/NodeFileSet/Repository themselves must not be
 // mutated while requests are in flight (they are the serving config, not
 // the cache).
 //
 // Invalidation flows through the change bus (DESIGN.md §10): a Generator
-// constructed with a ChangeJournal subscribes to the kickstart input
-// channels (graph, node files, distribution) and marks itself stale when
-// any is touched; the next generate() flushes once. Bus-less Generators
-// fall back to polling the Graph/NodeFileSet revision counters — both
-// paths feed the same single stale/flush mechanism.
+// constructed with a ChangeJournal subscribes to the graph and node-file
+// channels and marks itself stale when either is touched; the next
+// generate() flushes once. Every Generator also polls the Graph,
+// NodeFileSet and Repository revision counters, so a bus-less one sees
+// every edit too — both paths feed the same single stale/flush mechanism.
+// Distribution edits are seen by the Repository poll alone.
 #pragma once
 
 #include <array>
@@ -67,7 +66,9 @@ struct NodeConfig {
 class Generator {
  public:
   // Bus channels the kickstart inputs publish on (Graph::set_bus /
-  // NodeFileSet::set_bus / the frontend's distribution rebuilds).
+  // NodeFileSet::set_bus / the frontend's distribution rebuilds). The
+  // Generator subscribes to the first two; the distribution channel is for
+  // the bus's other subscribers.
   static constexpr std::string_view kGraphChannel = "kickstart.graph";
   static constexpr std::string_view kNodeFilesChannel = "kickstart.nodefiles";
   static constexpr std::string_view kDistributionChannel = "kickstart.distribution";
@@ -75,9 +76,9 @@ class Generator {
   /// `distro` (optional) prunes TYPE="optional" packages that the
   /// distribution does not carry; required packages are never pruned (a
   /// missing one surfaces at install time, as on a real cluster).
-  /// `bus` (optional) subscribes the profile cache to the three kickstart
-  /// channels above; without it, staleness is detected by polling the
-  /// Graph/NodeFileSet revision counters only.
+  /// `bus` (optional) subscribes the profile cache to the graph and
+  /// node-file channels above; with or without it, staleness is also
+  /// detected by polling the Graph/NodeFileSet/Repository revision counters.
   Generator(const NodeFileSet& files, const Graph& graph,
             const rpm::Repository* distro = nullptr,
             sqldb::ChangeJournal* bus = nullptr);
@@ -99,12 +100,6 @@ class Generator {
   /// flag is written. In-flight generates finish on their snapshots.
   void mark_stale() const { stale_.store(true, std::memory_order_release); }
 
-  /// Drops every cached profile (deferred to the next generate()). Call
-  /// after mutating the Repository handed to the constructor when no bus
-  /// publishes kDistributionChannel — with a bus, prefer touching that
-  /// channel so every subscriber learns of the change, not just this one.
-  void invalidate_profiles() const { mark_stale(); }
-
   // Profile-cache observability (tests, tuning).
   [[nodiscard]] std::uint64_t profile_cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
@@ -125,8 +120,8 @@ class Generator {
   };
 
   /// Returns the cached profile for (appliance, arch) as a snapshot,
-  /// building it on miss. Checks the Graph/NodeFileSet revisions first and
-  /// flushes the whole cache when either moved.
+  /// building it on miss. Checks the Graph/NodeFileSet/Repository revisions
+  /// first and flushes the whole cache when any moved.
   std::shared_ptr<const Profile> profile_for(const std::string& appliance,
                                              const std::string& arch) const;
 
@@ -156,11 +151,12 @@ class Generator {
   // Serializes revision-triggered flushes (flush + counter update must be
   // one step); ordered before the stripe locks in the hierarchy.
   mutable std::mutex flush_mutex_;
-  /// Set by bus callbacks and invalidate_profiles(); consumed (exchanged
-  /// false) by the next profile_for() flush.
+  /// Set by bus callbacks and mark_stale(); consumed (exchanged false) by
+  /// the next profile_for() flush.
   mutable std::atomic<bool> stale_{false};
   mutable std::atomic<std::uint64_t> graph_revision_{0};
   mutable std::atomic<std::uint64_t> files_revision_{0};
+  mutable std::atomic<std::uint64_t> distro_revision_{0};  // 0 without a distro
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};
 };

@@ -36,6 +36,7 @@ Follower::Follower(netsim::Simulator& sim, const rpm::SynthDistro* distro,
                                      32 * 1024});
     rocksdist_->mirror(distro->repo, cat("redhat/", config_.dist_version));
     rocksdist_->dist(configuration_->files, configuration_->graph);
+    images_ = std::make_unique<rpm::InstallImageCache>(rocksdist_->distribution());
     http_ = std::make_unique<netsim::HttpServerGroup>(sim_, config_.http_capacity,
                                                       config_.http_servers);
     kickstart_ = std::make_unique<kickstart::KickstartServer>(
@@ -134,7 +135,7 @@ cluster::NodeEnvironment Follower::environment() {
   env.dhcp = dhcp_.get();
   env.kickstart = kickstart_.get();
   env.http = http_.get();
-  env.distribution = &rocksdist_->distribution();
+  env.images = images_.get();
   return env;
 }
 

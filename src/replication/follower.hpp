@@ -35,6 +35,7 @@
 #include "netsim/syslog.hpp"
 #include "replication/shipment.hpp"
 #include "rocksdist/rocksdist.hpp"
+#include "rpm/image.hpp"
 #include "services/manager.hpp"
 #include "sqldb/engine.hpp"
 #include "vfs/filesystem.hpp"
@@ -121,6 +122,7 @@ class Follower {
   // Serving role (null for storage-only replicas).
   std::optional<kickstart::DefaultConfiguration> configuration_;
   std::unique_ptr<rocksdist::RocksDist> rocksdist_;
+  std::unique_ptr<rpm::InstallImageCache> images_;  // of rocksdist_'s distribution
   std::unique_ptr<netsim::HttpServerGroup> http_;
   std::unique_ptr<netsim::DhcpServer> dhcp_;
   std::unique_ptr<kickstart::KickstartServer> kickstart_;

@@ -1,6 +1,7 @@
 #include "rpm/repository.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace rocks::rpm {
 namespace {
@@ -13,8 +14,14 @@ bool arch_matches(const Package& pkg, std::string_view arch) {
 
 }  // namespace
 
+std::uint64_t Repository::fresh_revision() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 void Repository::add(Package package) {
   packages_[package.name].push_back(std::move(package));
+  revision_ = fresh_revision();
 }
 
 std::vector<const Package*> Repository::all() const {

@@ -16,10 +16,17 @@ namespace rocks::rpm {
 
 class Repository {
  public:
-  Repository() = default;
-  explicit Repository(std::string name) : name_(std::move(name)) {}
+  Repository() : revision_(fresh_revision()) {}
+  explicit Repository(std::string name) : name_(std::move(name)), revision_(fresh_revision()) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
+
+  /// Identifies this contents: drawn from a process-wide counter at
+  /// construction and on every add(), and carried by copy and assignment.
+  /// Two repositories with one revision hold the same packages, so caches
+  /// derived from a repository (kickstart profiles, install images) key on
+  /// it. Package pointers handed out before a revision change may dangle.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   /// Adds a package; multiple versions of the same name/arch may coexist
   /// (a mirror holds the stock release and every update).
@@ -48,7 +55,10 @@ class Repository {
   [[nodiscard]] bool contains(std::string_view name) const;
 
  private:
+  [[nodiscard]] static std::uint64_t fresh_revision();
+
   std::string name_;
+  std::uint64_t revision_;
   // name -> list of versions (append order; newest located by scan).
   std::map<std::string, std::vector<Package>, std::less<>> packages_;
 };

@@ -1,6 +1,7 @@
 #include "rpm/rpmdb.hpp"
 
 #include "rpm/repository.hpp"
+#include "support/cow.hpp"
 #include "support/strings.hpp"
 #include "vfs/path.hpp"
 
@@ -24,28 +25,34 @@ void RpmDatabase::install(const Package& package, vfs::FileSystem& fs) {
             : per_file;
     fs.write_file(path, content, payload);
   }
-  installed_.insert_or_assign(package.name, package);
+  writable().insert_or_assign(package.name, package);
 }
 
 bool RpmDatabase::erase(std::string_view name, vfs::FileSystem& fs) {
-  const auto it = installed_.find(name);
-  if (it == installed_.end()) return false;
-  for (const auto& path : it->second.files) fs.remove(path);
-  installed_.erase(it);
+  const Package* old = find(name);
+  if (old == nullptr) return false;
+  for (const auto& path : old->files) fs.remove(path);
+  Installed& installed = writable();
+  installed.erase(installed.find(name));
   return true;
 }
 
-bool RpmDatabase::installed(std::string_view name) const { return installed_.contains(name); }
+RpmDatabase::Installed& RpmDatabase::writable() {
+  if (!sole_holder(installed_)) installed_ = std::make_shared<Installed>(*installed_);
+  return *installed_;
+}
+
+bool RpmDatabase::installed(std::string_view name) const { return installed_->contains(name); }
 
 const Package* RpmDatabase::find(std::string_view name) const {
-  const auto it = installed_.find(name);
-  return it == installed_.end() ? nullptr : &it->second;
+  const auto it = installed_->find(name);
+  return it == installed_->end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> RpmDatabase::manifest() const {
   std::vector<std::string> out;
-  out.reserve(installed_.size());
-  for (const auto& [name, pkg] : installed_) out.push_back(pkg.nevra());
+  out.reserve(installed_->size());
+  for (const auto& [name, pkg] : *installed_) out.push_back(pkg.nevra());
   return out;  // map order == sorted by name
 }
 
@@ -64,7 +71,7 @@ std::uint64_t RpmDatabase::fingerprint() const {
 
 std::vector<const Package*> RpmDatabase::stale_against(const Repository& repo) const {
   std::vector<const Package*> out;
-  for (const auto& [name, pkg] : installed_) {
+  for (const auto& [name, pkg] : *installed_) {
     const Package* newest = repo.newest(name, pkg.arch);
     if (newest != nullptr && pkg.evr < newest->evr) out.push_back(&pkg);
   }

@@ -3,10 +3,14 @@
 // virtual filesystem; the manifest fingerprint is how the toolkit decides
 // whether two nodes run identical software (the consistency question the
 // paper's reinstall philosophy is designed to eliminate, Section 3.2).
+//
+// Copies share one package map until either side installs or erases, so a
+// node adopting an install image's package set copies no Package.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,7 +33,7 @@ class RpmDatabase {
 
   [[nodiscard]] bool installed(std::string_view name) const;
   [[nodiscard]] const Package* find(std::string_view name) const;
-  [[nodiscard]] std::size_t package_count() const { return installed_.size(); }
+  [[nodiscard]] std::size_t package_count() const { return installed_->size(); }
 
   /// Sorted "name-version-release.arch" list — `rpm -qa` output.
   [[nodiscard]] std::vector<std::string> manifest() const;
@@ -42,12 +46,13 @@ class RpmDatabase {
   /// (the "is my node stale?" question from Section 6.2.1).
   [[nodiscard]] std::vector<const Package*> stale_against(const Repository& repo) const;
 
-  /// Drops all records without touching the filesystem — used when a node's
-  /// disk is wiped wholesale at reinstall time.
-  void clear() { installed_.clear(); }
-
  private:
-  std::map<std::string, Package, std::less<>> installed_;  // by name
+  using Installed = std::map<std::string, Package, std::less<>>;  // by name
+
+  /// The map, un-shared first when a copy of this database still holds it.
+  Installed& writable();
+
+  std::shared_ptr<Installed> installed_ = std::make_shared<Installed>();
 };
 
 }  // namespace rocks::rpm

@@ -82,6 +82,10 @@ RowSlot& Table::slot_ref(std::uint32_t slot) const {
   return directory_.load(std::memory_order_relaxed)->slot(slot);
 }
 
+std::int64_t Table::next_auto_after(const Value& key, std::int64_t cursor) {
+  return key.is_null() ? cursor : std::max(cursor, key.as_int() + 1);
+}
+
 std::size_t Table::insert(Row row) {
   require_state(row.size() == columns_.size(),
                 strings::cat("insert into ", name_, ": row width ", row.size(),
@@ -91,9 +95,8 @@ std::size_t Table::insert(Row row) {
       row[i] = Value(next_auto_.fetch_add(1, std::memory_order_seq_cst));
     } else {
       row[i] = coerce(row[i], columns_[i].type);
-      if (columns_[i].auto_increment && !row[i].is_null())
-        next_auto_.store(std::max(next_auto_.load(std::memory_order_seq_cst),
-                                  row[i].as_int() + 1),
+      if (columns_[i].auto_increment)
+        next_auto_.store(next_auto_after(row[i], next_auto_.load(std::memory_order_seq_cst)),
                          std::memory_order_seq_cst);
     }
   }
@@ -143,12 +146,19 @@ void Table::update_row(std::size_t position,
   const std::uint32_t slot = live_[position];
   RowSlot& row_slot = slot_ref(slot);
   RowVersion* old = row_slot.head.load(std::memory_order_relaxed);
-  auto* version = new RowVersion;
-  version->data = old->data;
+  // Coerce, and move the AUTO_INCREMENT cursor past a key set by hand,
+  // exactly as insert() does; anything that throws does so before the row
+  // changes.
+  Row data = old->data;
+  std::int64_t next_auto = next_auto_.load(std::memory_order_seq_cst);
   for (const auto& [column, value] : cells) {
     require_state(column < columns_.size(), "update_row: column index out of range");
-    version->data[column] = value;  // stored as given, like the old set_cell
+    data[column] = coerce(value, columns_[column].type);
+    if (columns_[column].auto_increment) next_auto = next_auto_after(data[column], next_auto);
   }
+  next_auto_.store(next_auto, std::memory_order_seq_cst);
+  auto* version = new RowVersion;
+  version->data = std::move(data);
   version->older.store(old, std::memory_order_relaxed);
   row_slot.head.store(version, std::memory_order_seq_cst);
   pending_begin_.push_back(version);
@@ -156,10 +166,11 @@ void Table::update_row(std::size_t position,
   ++versions_;
   for (const auto& [column, value] : cells) {
     if (indexes_[column].current == nullptr) continue;
-    if (value.is_null()) continue;  // probes never match NULL; no entry needed
+    const Value& after = version->data[column];
+    if (after.is_null()) continue;  // probes never match NULL; no entry needed
     const Value& before = old->data[column];
-    if (!before.is_null() && ValueEqual{}(before, value)) continue;  // key unchanged
-    index_insert(column, version->data[column], slot);
+    if (!before.is_null() && ValueEqual{}(before, after)) continue;  // key unchanged
+    index_insert(column, after, slot);
   }
 }
 

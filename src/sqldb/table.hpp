@@ -81,15 +81,18 @@ class Table {
 
   /// Appends a snapshot row verbatim — no coercion, no AUTO_INCREMENT
   /// assignment — already committed (begin_ts 0, the base state every read
-  /// timestamp sees). insert() would be wrong here: update_row stores
-  /// UPDATE values as given, so a live row may hold a value coercion would
-  /// alter, and recovery must reproduce memory byte-for-byte.
+  /// timestamp sees). insert() would be wrong here: an image written before
+  /// UPDATE coerced may hold a value coercion would alter, and recovery
+  /// must reproduce that image byte-for-byte; the cursor comes from the
+  /// image too.
   std::size_t restore_row(Row row);
 
   /// The engine's UPDATE path: publishes a new version of the row at
   /// `position` with `cells` (column, value) overwrites applied. Values are
-  /// stored as given (no coercion, matching UPDATE semantics). The old
-  /// version stays visible to readers until the commit stamp retires it.
+  /// coerced to column types and a key set on an AUTO_INCREMENT column
+  /// advances the cursor, as in insert(); on a throw the row is unchanged.
+  /// The old version stays visible to readers until the commit stamp
+  /// retires it.
   void update_row(std::size_t position, const std::vector<std::pair<std::size_t, Value>>& cells);
 
   /// Removes the rows at `sorted_positions` (ascending) from the live set.
@@ -234,6 +237,10 @@ class Table {
   };
 
   static Value coerce(const Value& value, Type type);
+  /// The AUTO_INCREMENT cursor after a key set by hand on that column:
+  /// past the key, never backwards; a NULL key leaves it. insert() and
+  /// update_row() both advance through here.
+  [[nodiscard]] static std::int64_t next_auto_after(const Value& key, std::int64_t cursor);
   [[nodiscard]] std::uint32_t allocate_slot();
   [[nodiscard]] RowSlot& slot_ref(std::uint32_t slot) const;
   void index_insert(std::size_t column, const Value& key, std::uint32_t slot);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "support/cow.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "vfs/path.hpp"
@@ -25,19 +26,26 @@ class FileSystem::Walk {
   enum Mode {
     kFollow,    // follow every symlink, the final one included
     kNoFollow,  // stop at a final symlink (lstat, readlink)
-    kParent,    // resolve all but the final component, which is not looked up
-    kCreate,    // kFollow, creating each missing directory the argument names
+    // The modes below mutate what they reach, so they own their chain: each
+    // node on it that another tree (or another path) still holds is cloned
+    // first, top-down (DESIGN.md §17.3).
+    kParent,  // resolve all but the final component, which is not looked up
+    kCreate,  // kFollow, creating each missing directory the argument names
+    kWrite,   // kFollow, owning the final node too (append_file)
   };
 
-  /// A real node on the resolved path and its name in its parent's entries.
+  /// A real node on the resolved path, its name in its parent's entries,
+  /// and the pointer that holds it (copy_tree shares the final one).
   struct Frame {
     Node* node;
     std::string_view name;
+    const std::shared_ptr<Node>* held;
   };
 
-  /// Walks `path` from the root of `fs`. Const so queries can walk; only
-  /// mkdir_p, which is not, passes kCreate.
+  /// A query walk (kFollow or kNoFollow) over `fs`.
   Walk(const FileSystem& fs, std::string_view path, Mode mode);
+  /// Any mode; kParent, kCreate and kWrite un-share the nodes they pass.
+  Walk(FileSystem& fs, std::string_view path, Mode mode);
   Walk(const Walk&) = delete;
   Walk& operator=(const Walk&) = delete;
 
@@ -56,6 +64,10 @@ class FileSystem::Walk {
   std::vector<Frame> chain;  // root first; every entry but the last is a directory
 
  private:
+  /// The walk itself. `root` holds the tree's root; `owned_root`, set only
+  /// for the mutating modes, is the same pointer, writable.
+  void run(const std::shared_ptr<Node>& root, std::shared_ptr<Node>* owned_root,
+           std::string_view path, Mode mode);
   /// Splices a symlink's target in front of the unconsumed components.
   std::string_view reroot(std::string_view target, std::string_view rest);
   /// The argument up to and including its last consumed component, given
@@ -67,14 +79,26 @@ class FileSystem::Walk {
 };
 
 FileSystem::Walk::Walk(const FileSystem& fs, std::string_view path, Mode mode) {
+  if (mode != kFollow && mode != kNoFollow)
+    throw StateError("vfs: a mutating walk needs a mutable tree");
+  run(fs.root_, nullptr, path, mode);
+}
+
+FileSystem::Walk::Walk(FileSystem& fs, std::string_view path, Mode mode) {
+  run(fs.root_, mode == kFollow || mode == kNoFollow ? nullptr : &fs.root_, path, mode);
+}
+
+void FileSystem::Walk::run(const std::shared_ptr<Node>& root, std::shared_ptr<Node>* owned_root,
+                           std::string_view path, Mode mode) {
   if (is_normal(path)) {
     norm = path;
   } else {
     norm_buf_ = normalize(path);
     norm = norm_buf_;
   }
+  const bool owning = owned_root != nullptr;
   chain.reserve(16);
-  chain.push_back({fs.root_.get(), {}});
+  chain.push_back({owning ? own(*owned_root) : root.get(), {}, &root});
   // `rest` always ends with the argument's own unconsumed components, which
   // are `unconsumed` bytes long; anything before them came from symlink
   // targets. Only the argument's components may be created.
@@ -101,9 +125,7 @@ FileSystem::Walk::Walk(const FileSystem& fs, std::string_view path, Mode mode) {
       // a link occupies the name mkdir would need.
       if (!from_argument)
         throw IoError(strings::cat("mkdir: path exists: ", consumed(unconsumed)));
-      auto fresh = std::make_unique<Node>();
-      fresh->type = NodeType::kDirectory;
-      it = dir->entries.emplace(std::string(part), std::move(fresh)).first;
+      it = dir->entries.emplace(std::string(part), make_node(NodeType::kDirectory)).first;
     }
     Node* next = it->second.get();
     if (next->type == NodeType::kSymlink && (!last || mode != kNoFollow)) {
@@ -121,7 +143,9 @@ FileSystem::Walk::Walk(const FileSystem& fs, std::string_view path, Mode mode) {
         throw IoError(strings::cat("mkdir_p: not a directory: ", consumed(unconsumed)));
       throw IoError(strings::cat("mkdir: path exists: ", consumed(unconsumed)));
     }
-    chain.push_back({next, it->first});
+    // Symlinks are only read; anything else a mutating walk passes is its own.
+    if (owning) next = own(it->second);
+    chain.push_back({next, it->first, &it->second});
   }
   node = chain.back().node;
   if (mode == kCreate && node->type != NodeType::kDirectory)
@@ -167,8 +191,30 @@ std::string FileSystem::Walk::real_path() const {
   return out;
 }
 
-FileSystem::FileSystem() : root_(std::make_unique<Node>()) {
-  root_->type = NodeType::kDirectory;
+FileSystem::FileSystem() : root_(make_node(NodeType::kDirectory)) {}
+
+std::shared_ptr<FileSystem::Node> FileSystem::make_node(NodeType type) {
+  auto node = std::make_shared<Node>();
+  node->type = type;
+  return node;
+}
+
+FileSystem::Node* FileSystem::own(std::shared_ptr<Node>& held) {
+  if (!sole_holder(held)) {
+    // Path copying: one node and its map of child pointers. The children
+    // stay shared until a walk passes through them.
+    const Node& shared = *held;
+    auto copy = std::make_shared<Node>();
+    copy->type = shared.type;
+    copy->content = shared.content;
+    copy->payload = shared.payload;
+    copy->link_target = shared.link_target;
+    copy->entries = shared.entries;
+    copy->hash_cache.store(shared.hash_cache.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+    held = std::move(copy);
+  }
+  return held.get();
 }
 
 void FileSystem::mkdir(std::string_view path) {
@@ -176,9 +222,7 @@ void FileSystem::mkdir(std::string_view path) {
   Node& parent = walk.parent();
   if (parent.entries.contains(walk.leaf))
     throw IoError(strings::cat("mkdir: path exists: ", walk.norm));
-  auto node = std::make_unique<Node>();
-  node->type = NodeType::kDirectory;
-  parent.entries.emplace(std::string(walk.leaf), std::move(node));
+  parent.entries.emplace(std::string(walk.leaf), make_node(NodeType::kDirectory));
 }
 
 void FileSystem::mkdir_p(std::string_view path) { const Walk walk(*this, path, Walk::kCreate); }
@@ -218,9 +262,11 @@ void FileSystem::write_file(std::string_view path, std::string content,
   Dir& entries = walk.parent().entries;
   auto it = entries.find(walk.leaf);
   if (it == entries.end()) {
-    it = entries.emplace(std::string(walk.leaf), std::make_unique<Node>()).first;
+    it = entries.emplace(std::string(walk.leaf), make_node(NodeType::kFile)).first;
   } else if (it->second->type == NodeType::kDirectory) {
     throw IoError(strings::cat("write_file: is a directory: ", walk.norm));
+  } else if (!sole_holder(it->second)) {
+    it->second = make_node(NodeType::kFile);  // another tree keeps the old file
   }
   // A final symlink is replaced, not followed.
   Node& slot = *it->second;
@@ -235,7 +281,7 @@ void FileSystem::write_file(std::string_view path, std::string content,
 }
 
 void FileSystem::append_file(std::string_view path, std::string_view content) {
-  const Walk walk(*this, path, Walk::kFollow);
+  const Walk walk(*this, path, Walk::kWrite);
   if (walk.node == nullptr) {
     write_file(path, std::string(content));  // checks the armed fault once
     return;
@@ -259,8 +305,7 @@ void FileSystem::symlink(std::string_view target, std::string_view path) {
   Node& parent = walk.parent();
   if (parent.entries.contains(walk.leaf))
     throw IoError(strings::cat("symlink: path exists: ", walk.norm));
-  auto node = std::make_unique<Node>();
-  node->type = NodeType::kSymlink;
+  auto node = make_node(NodeType::kSymlink);
   node->link_target = std::string(target);
   parent.entries.emplace(std::string(walk.leaf), std::move(node));
 }
@@ -340,7 +385,7 @@ void FileSystem::rename(std::string_view from, std::string_view to) {
 
   // The swap itself is the atomic step: detach, then attach-or-replace.
   // (Both maps are ours; no observer can interleave within this call.)
-  std::unique_ptr<Node> node = std::move(src_it->second);
+  std::shared_ptr<Node> node = std::move(src_it->second);
   src_entries.erase(src_it);
   dst_entries.insert_or_assign(std::string(dst.leaf), std::move(node));
 }
@@ -440,9 +485,9 @@ void FileSystem::add_partition(std::string_view mount_point) {
   mkdir_p(norm);
 }
 
-void FileSystem::wipe_root_partition() {
-  // Detach preserved subtrees, clear the root, reattach.
-  std::vector<std::pair<std::string, std::unique_ptr<Node>>> preserved;
+void FileSystem::wipe_root_partition(const FileSystem* base) {
+  // Detach preserved subtrees, reformat the root, reattach.
+  std::vector<std::pair<std::string, std::shared_ptr<Node>>> preserved;
   for (const auto& mount : partitions_) {
     const Walk walk(*this, mount, Walk::kParent);
     if (walk.node == nullptr) continue;
@@ -451,38 +496,26 @@ void FileSystem::wipe_root_partition() {
     preserved.emplace_back(mount, std::move(it->second));
     walk.node->entries.erase(it);
   }
-  root_->entries.clear();
+  // A base is shared, not copied: the walks below and every later write
+  // un-share just the nodes they pass.
+  root_ = base != nullptr ? base->root_ : make_node(NodeType::kDirectory);
   for (auto& [mount, node] : preserved) {
     mkdir_p(dirname(mount));
     const Walk walk(*this, mount, Walk::kParent);
-    walk.parent().entries.emplace(std::string(walk.leaf), std::move(node));
-  }
-}
-
-void FileSystem::copy_node(const Node& src, Node& dst) {
-  dst.type = src.type;
-  dst.content = src.content;
-  dst.payload = src.payload;
-  dst.hash_cache.store(src.hash_cache.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  dst.link_target = src.link_target;
-  dst.entries.clear();
-  for (const auto& [name, child] : src.entries) {
-    auto copy = std::make_unique<Node>();
-    copy_node(*child, *copy);
-    dst.entries.emplace(name, std::move(copy));
+    walk.parent().entries.insert_or_assign(std::string(walk.leaf), std::move(node));
   }
 }
 
 void FileSystem::copy_tree(const FileSystem& from, std::string_view src, std::string_view dst) {
-  const Node* src_node = Walk(from, src, Walk::kFollow).node;
-  if (src_node == nullptr) throw IoError(strings::cat("copy_tree: no such path: ", src));
+  const Walk source(from, src, Walk::kFollow);
+  if (source.node == nullptr) throw IoError(strings::cat("copy_tree: no such path: ", src));
+  // Held before the destination walk, so a copy into the source's own
+  // subtree un-shares the source instead of making it contain itself.
+  std::shared_ptr<Node> shared = *source.chain.back().held;
   const std::string target = normalize(dst);
   mkdir_p(dirname(target));
   const Walk walk(*this, target, Walk::kParent);
-  auto copy = std::make_unique<Node>();
-  copy_node(*src_node, *copy);
-  walk.parent().entries.insert_or_assign(std::string(walk.leaf), std::move(copy));
+  walk.parent().entries.insert_or_assign(std::string(walk.leaf), std::move(shared));
 }
 
 void FileSystem::link_tree(const FileSystem& from, std::string_view src, std::string_view dst,

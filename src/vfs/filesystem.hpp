@@ -13,6 +13,11 @@
 // Files may carry literal content, a synthetic payload size, or both: RPM
 // payloads are hundreds of megabytes in aggregate and are represented by
 // size only, while config files carry real bytes.
+//
+// Trees are copy-on-write (DESIGN.md §17.3): copy_tree and
+// wipe_root_partition's base share nodes instead of copying them, and a
+// write clones only the shared nodes on its own path. Every node that
+// installs the same image therefore holds one file tree, not one each.
 #pragma once
 
 #include <atomic>
@@ -50,6 +55,11 @@ struct Stat {
 class FileSystem {
  public:
   FileSystem();
+  // One disk per machine: share subtrees with copy_tree or a wipe's base.
+  FileSystem(const FileSystem&) = delete;
+  FileSystem& operator=(const FileSystem&) = delete;
+  FileSystem(FileSystem&&) = default;
+  FileSystem& operator=(FileSystem&&) = default;
 
   // --- directories -------------------------------------------------------
   /// Creates one directory; parent must exist. Throws IoError otherwise.
@@ -138,8 +148,10 @@ class FileSystem {
   /// Reformats the root partition: removes everything except the contents of
   /// non-root partitions, which survive exactly (paper §6.3: "all non-root
   /// partitions are preserved over reinstalls"). Mount-point directories are
-  /// recreated.
-  void wipe_root_partition();
+  /// recreated. With a `base`, the new root is a shared copy of base's tree
+  /// (an install image) instead of an empty one; the preserved partitions
+  /// replace whatever base holds at their mount points.
+  void wipe_root_partition(const FileSystem* base = nullptr);
 
   // --- fault injection ------------------------------------------------------
   /// Arms a write fault: the `countdown`-th future write_file/append_file
@@ -153,8 +165,10 @@ class FileSystem {
   void disarm_write_fault();
 
   // --- whole-tree copies -----------------------------------------------------
-  /// Recursively copies `src` (in `from`) to `dst` in this filesystem.
-  /// Symlinks are copied as symlinks with unchanged targets.
+  /// Copies `src` (in `from`) to `dst` in this filesystem, replacing what
+  /// `dst` held. Symlinks are copied as symlinks with unchanged targets.
+  /// O(depth of dst): the subtree is shared, and a later write through
+  /// either tree un-shares only its own path.
   void copy_tree(const FileSystem& from, std::string_view src, std::string_view dst);
 
   /// Mirrors `src` (in `from`) into `dst` as a tree of directories whose
@@ -166,8 +180,9 @@ class FileSystem {
 
  private:
   struct Node;
-  // Transparent comparator: walks look components up by string_view.
-  using Dir = std::map<std::string, std::unique_ptr<Node>, std::less<>>;
+  // Transparent comparator: walks look components up by string_view. A node
+  // held by more than one pointer is shared and never written in place.
+  using Dir = std::map<std::string, std::shared_ptr<Node>, std::less<>>;
 
   struct Node {
     NodeType type = NodeType::kFile;
@@ -176,8 +191,9 @@ class FileSystem {
     std::string link_target;      // symlink target
     Dir entries;                  // directory children
     // Memoized content_hash(content); 0 means "not cached" (a genuine hash
-    // of 0 merely recomputes). Atomic so concurrent file_hash readers can
-    // fill it; content mutators reset or refresh it.
+    // of 0 merely recomputes). Atomic so concurrent file_hash readers, of
+    // this tree or of any tree sharing the node, can fill it; content
+    // mutators reset or refresh it.
     mutable std::atomic<std::uint64_t> hash_cache{0};
   };
 
@@ -187,13 +203,16 @@ class FileSystem {
 
   void walk_node(const std::string& path, const Node& node,
                  const std::function<void(const std::string&, const Stat&)>& visit) const;
-  static void copy_node(const Node& src, Node& dst);
+  [[nodiscard]] static std::shared_ptr<Node> make_node(NodeType type);
+  /// Clones `*held` into `held` when anything else holds it too (one node
+  /// and its map of child pointers); returns the node this tree may write.
+  static Node* own(std::shared_ptr<Node>& held);
 
   /// Throws IoError when an armed write fault matches `path` and its
   /// countdown expires; called at the top of every mutating file write.
   void check_write_fault(std::string_view path);
 
-  std::unique_ptr<Node> root_;
+  std::shared_ptr<Node> root_;
   std::vector<std::string> partitions_;  // non-root mount points
 
   // Armed write fault (empty substring = disarmed).

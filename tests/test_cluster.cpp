@@ -546,27 +546,81 @@ TEST_F(ClusterTest, ServerCapacityUpgradeMidPulse) {
 
 // --- registration under operator edits ---------------------------------------
 
-TEST_F(ClusterTest, RowsWithTextIdsRefetchUnderTheirOwnKey) {
-  // An UPDATE stores its value uncoerced, so an operator can give a row a
-  // TEXT id. Every journal consumer re-fetches it under that key: the
-  // reports stay equal to a full render and the DHCP binding follows it.
+TEST_F(ClusterTest, KeyUpdatesAreCoercedAndAdvanceTheIdCursor) {
+  // An UPDATE coerces like an INSERT: a numeric TEXT id becomes an INT, and
+  // a key set above the AUTO_INCREMENT cursor moves the cursor past it, so
+  // the next registration cannot be handed the same id. Every journal
+  // consumer re-fetches the moved row under its new key: the reports stay
+  // equal to a full render and the DHCP bindings to a full push.
   Cluster cluster(small_config());
   for (int i = 0; i < 3; ++i) cluster.add_node();
   cluster.integrate_all();
   Frontend& frontend = cluster.frontend();
-  frontend.db().execute("UPDATE nodes SET id = 'spare', name = 'spare-0-1' WHERE id = 3");
+  const auto expect_full_render = [&](const std::string& when) {
+    EXPECT_EQ(frontend.fs().read_file("/etc/hosts"), services::generate_hosts(frontend.db()))
+        << when;
+    EXPECT_EQ(frontend.fs().read_file("/etc/dhcpd.conf"),
+              services::generate_dhcpd_conf(frontend.db(), frontend.config().ip))
+        << when;
+    EXPECT_EQ(churn::describe(frontend.dhcp().bindings()),
+              churn::describe(churn::reference_bindings(frontend.db(), frontend.config().ip)))
+        << when;
+  };
+  frontend.db().execute("UPDATE nodes SET id = '27', name = 'spare-0-1' WHERE id = 3");
+  const auto moved = frontend.db().execute("SELECT id FROM nodes WHERE name = 'spare-0-1'");
+  ASSERT_EQ(moved.row_count(), 1u);
+  EXPECT_EQ(moved.rows[0][0].type(), sqldb::Type::kInt);
+  EXPECT_EQ(moved.rows[0][0].as_int(), 27);
   EXPECT_TRUE(frontend.flush_services().failed.empty());
-  EXPECT_EQ(frontend.fs().read_file("/etc/hosts"), services::generate_hosts(frontend.db()));
-  EXPECT_EQ(frontend.fs().read_file("/etc/dhcpd.conf"),
-            services::generate_dhcpd_conf(frontend.db(), frontend.config().ip));
-  EXPECT_EQ(churn::describe(frontend.dhcp().bindings()),
-            churn::describe(churn::reference_bindings(frontend.db(), frontend.config().ip)));
-  const auto lines = churn::describe(frontend.dhcp().bindings());
-  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
-                          [](const std::string& line) {
-                            return line.find(" spare-0-1 ") != std::string::npos;
-                          }),
-            1);
+  expect_full_render("after the key update");
+
+  // A key that is not a number is refused, as INSERT refuses it, and
+  // changes nothing.
+  EXPECT_THROW(frontend.db().execute("UPDATE nodes SET id = 'spare' WHERE id = 27"), Error);
+  EXPECT_EQ(frontend.db().execute("SELECT id FROM nodes WHERE id = 27").row_count(), 1u);
+
+  cluster.add_node();
+  cluster.integrate_all();
+  const auto next = frontend.db().execute("SELECT id FROM nodes WHERE name = 'compute-0-3'");
+  ASSERT_EQ(next.row_count(), 1u);
+  EXPECT_EQ(next.rows[0][0].as_int(), 28);
+  EXPECT_EQ(frontend.db().execute("SELECT id FROM nodes WHERE id = 27").row_count(), 1u);
+  expect_full_render("after the next registration");
+}
+
+TEST_F(ClusterTest, DistributionRebuildInstallsFromANewImage) {
+  Cluster cluster(small_config());
+  for (int i = 0; i < 2; ++i) cluster.add_node();
+  cluster.integrate_all();
+  const rpm::InstallImageCache& images = cluster.frontend().install_images();
+  EXPECT_EQ(images.size(), 1u);  // every compute node installed one image
+  const std::uint64_t builds = images.builds();
+  const std::uint64_t revision = cluster.frontend().distribution().revision();
+
+  const rpm::Package* base_ssl = cluster.distro().repo.newest("openssl");
+  ASSERT_NE(base_ssl, nullptr);
+  rpm::Package update = *base_ssl;
+  update.evr.release += ".6";
+  update.origin = rpm::Origin::kUpdate;
+  rpm::Repository errata("errata");
+  errata.add(update);
+  cluster.frontend().apply_updates(errata);
+  EXPECT_NE(cluster.frontend().distribution().revision(), revision);
+
+  // The next install uses the new packages; a node not reinstalled keeps
+  // what it has.
+  cluster.shoot_node("compute-0-0");
+  cluster.run_until_stable();
+  EXPECT_EQ(cluster.node("compute-0-0")->rpmdb().find("openssl")->evr, update.evr);
+  EXPECT_EQ(cluster.node("compute-0-1")->rpmdb().find("openssl")->evr, base_ssl->evr);
+  EXPECT_EQ(images.builds(), builds + 1);
+  EXPECT_EQ(images.size(), 1u);  // the old revision's image is gone
+  cluster.shoot_node("compute-0-1");
+  cluster.run_until_stable();
+  EXPECT_EQ(images.builds(), builds + 1);
+  EXPECT_EQ(cluster.node("compute-0-1")->software_fingerprint(),
+            cluster.node("compute-0-0")->software_fingerprint());
+  EXPECT_TRUE(cluster.consistent());
 }
 
 /// Seeded registrations interleaved with SQL edits of the nodes table. Each

@@ -259,7 +259,7 @@ TEST(DatabaseConcurrency, PreparedStatementCacheSharedAcrossThreads) {
   EXPECT_EQ(db.statement_cache_size(), 3u);
 }
 
-/// Concurrent generate() against concurrent invalidate_profiles(): readers
+/// Concurrent generate() against concurrent mark_stale(): readers
 /// must always get a profile that is byte-identical to a cold build
 /// (snapshot semantics — a flush never mutates a profile mid-render).
 TEST(GeneratorConcurrency, GenerateRacingInvalidate) {
@@ -288,7 +288,7 @@ TEST(GeneratorConcurrency, GenerateRacingInvalidate) {
     threads.emplace_back([&, t] {
       for (std::size_t op = 0; op < kOpsPerThread; ++op) {
         if (t >= 6) {
-          generator.invalidate_profiles();
+          generator.mark_stale();
         } else {
           const std::size_t which = (t + op) % appliances.size();
           if (generator.generate_text(config_for(appliances[which])) != expected[which])

@@ -5,6 +5,7 @@
 // registration crash safety.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -306,8 +307,8 @@ TEST_F(DurabilityTest, AutoIncrementCursorSurvivesDeletedMax) {
 }
 
 TEST_F(DurabilityTest, UncoercedUpdateValuesSurviveSnapshotVerbatim) {
-  // UPDATE stores values without coercion; a snapshot restore must not
-  // re-coerce them (restore_row, not insert).
+  // Coercion leaves non-numeric TEXT in an INT column as it is; a snapshot
+  // restore must not touch what a row holds (restore_row, not insert).
   vfs::FileSystem disk;
   std::string expected;
   {
@@ -323,6 +324,94 @@ TEST_F(DurabilityTest, UncoercedUpdateValuesSurviveSnapshotVerbatim) {
   Database recovered;
   recovered.open_durable(disk, kDir);
   EXPECT_EQ(recovered.dump_state(), expected);
+}
+
+// --- UPDATE coerces like INSERT and advances AUTO_INCREMENT -------------------
+
+/// Recovers a store from a copy of `disk` (the original keeps running).
+std::string recovered_dump(const vfs::FileSystem& disk, const std::string& probe = "") {
+  vfs::FileSystem copy;
+  copy.copy_tree(disk, kDir, kDir);
+  Database recovered;
+  recovered.open_durable(copy, kDir);
+  return probe.empty() ? recovered.dump_state() : recovered.execute(probe).render();
+}
+
+TEST_F(DurabilityTest, UpdateCoercesTextToIntLiveAndAfterRecovery) {
+  vfs::FileSystem disk;
+  Database db;
+  db.open_durable(disk, kDir);
+  db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  db.execute("INSERT INTO t VALUES (1, 10), (2, 9)");
+  db.execute("UPDATE t SET v = '7' WHERE id = 1");
+  const auto cell = db.execute("SELECT v FROM t WHERE id = 1");
+  ASSERT_EQ(cell.row_count(), 1u);
+  EXPECT_EQ(cell.rows[0][0].type(), sqldb::Type::kInt);
+  EXPECT_EQ(cell.rows[0][0].as_int(), 7);
+  // An INT 7 sorts below 9; a TEXT '7' would sort above every number.
+  const std::string order = "SELECT id FROM t ORDER BY v DESC";
+  EXPECT_EQ(db.execute(order).rows[0][0].as_int(), 2);
+  const std::string live = db.dump_state();
+  EXPECT_EQ(recovered_dump(disk), live);  // WAL replay
+  EXPECT_EQ(recovered_dump(disk, order), db.execute(order).render());
+  db.snapshot();
+  EXPECT_EQ(recovered_dump(disk), live);  // snapshot restore
+}
+
+TEST_F(DurabilityTest, UpdateRefusesARealOutsideTheIntRangeLiveAndAfterRecovery) {
+  vfs::FileSystem disk;
+  Database db;
+  db.open_durable(disk, kDir);
+  db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  db.execute("INSERT INTO t VALUES (1, 10)");
+  EXPECT_THROW(db.execute("UPDATE t SET v = 100000000000000000000000.0 WHERE id = 1"), Error);
+  EXPECT_THROW(db.execute("UPDATE t SET v = 9223372036854775808 WHERE id = 1"), Error);
+  // -2^63 is INT64_MIN exactly, so it fits.
+  db.execute("UPDATE t SET v = -9223372036854775808.0 WHERE id = 1");
+  const auto cell = db.execute("SELECT v FROM t WHERE id = 1");
+  EXPECT_EQ(cell.rows[0][0].type(), sqldb::Type::kInt);
+  EXPECT_EQ(cell.rows[0][0].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(db.execute("UPDATE t SET v = -100000000000000000000000.0"), Error);
+  EXPECT_EQ(db.execute("SELECT v FROM t").rows[0][0].as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  const std::string live = db.dump_state();
+  EXPECT_EQ(recovered_dump(disk), live);
+  db.snapshot();
+  EXPECT_EQ(recovered_dump(disk), live);
+}
+
+TEST_F(DurabilityTest, KeyUpdateAdvancesAutoIncrementLiveReplayAndSnapshot) {
+  vfs::FileSystem disk;
+  Database db;
+  db.open_durable(disk, kDir);
+  db.execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v TEXT)");
+  for (int i = 0; i < 3; ++i) db.execute("INSERT INTO t (v) VALUES ('x')");
+  db.execute("UPDATE t SET id = 27 WHERE id = 2");
+  db.execute("UPDATE t SET id = 5 WHERE id = 3");  // below the cursor: no move
+  const std::string next = "INSERT INTO t (v) VALUES ('next')";
+  const std::string probe = "SELECT id FROM t WHERE v = 'next'";
+  const auto id_after = [&](vfs::FileSystem& image) {
+    Database recovered;
+    recovered.open_durable(image, kDir);
+    recovered.execute(next);
+    const auto rows = recovered.execute(probe);
+    return rows.row_count() == 1 ? rows.rows[0][0].as_int() : -1;
+  };
+  vfs::FileSystem wal_only;  // the UPDATEs live only in the WAL
+  wal_only.copy_tree(disk, kDir, kDir);
+  db.snapshot();
+  vfs::FileSystem snapshotted;  // the cursor lives in the snapshot
+  snapshotted.copy_tree(disk, kDir, kDir);
+  db.execute(next);
+  ASSERT_EQ(db.execute(probe).row_count(), 1u);
+  EXPECT_EQ(db.execute(probe).rows[0][0].as_int(), 28);
+  EXPECT_EQ(id_after(wal_only), 28);
+  EXPECT_EQ(id_after(snapshotted), 28);
+  // The copies were taken by sharing; the live store's later writes did
+  // not reach them, and theirs did not reach it.
+  EXPECT_EQ(db.execute("SELECT id FROM t ORDER BY id").render(),
+            recovered_dump(disk, "SELECT id FROM t ORDER BY id"));
+  EXPECT_EQ(db.execute("SELECT id FROM t WHERE id = 28").row_count(), 1u);
 }
 
 // --- corruption & torn tails -------------------------------------------------
@@ -640,6 +729,31 @@ cluster::ClusterConfig durable_config(vfs::FileSystem& state) {
   config.synth.filler_packages = 20;
   config.frontend.state_fs = &state;
   return config;
+}
+
+TEST_F(DurabilityTest, TextRankUpdateNoLongerBlocksInsertEthers) {
+  // insert-ethers takes the cabinet's greatest rank plus one. A rank set by
+  // hand as TEXT used to sort above every number and make that step throw.
+  vfs::FileSystem state;
+  std::vector<Mac> macs;
+  for (int i = 0; i < 5; ++i) macs.push_back(Mac{0x00508BE20000ULL + i});
+  {
+    cluster::Cluster cluster(durable_config(state));
+    EXPECT_EQ(cluster.insert_ethers().register_batch({macs[0], macs[1], macs[2]}), 3);
+    cluster.frontend().db().execute("UPDATE nodes SET rank = '7' WHERE name = 'compute-0-2'");
+    EXPECT_EQ(cluster.insert_ethers().register_batch({macs[3]}), 1);
+    EXPECT_EQ(cluster.frontend().db().execute("SELECT name FROM nodes WHERE rank = 8")
+                  .row_count(), 1u);
+  }
+  cluster::Cluster cluster(durable_config(state));  // WAL replay
+  EXPECT_TRUE(cluster.frontend().recovered());
+  EXPECT_EQ(cluster.insert_ethers().register_batch({macs[4]}), 1);
+  const auto rows = cluster.frontend().db().execute(
+      "SELECT name, rank FROM nodes WHERE membership = 2 ORDER BY rank");
+  ASSERT_EQ(rows.row_count(), 5u);
+  EXPECT_EQ(rows.rows[3][0].to_string(), "compute-0-8");
+  EXPECT_EQ(rows.rows[4][0].to_string(), "compute-0-9");
+  for (const auto& row : rows.rows) EXPECT_EQ(row[1].type(), sqldb::Type::kInt);
 }
 
 TEST_F(DurabilityTest, InterruptedRegistrationRecoversCleanly) {

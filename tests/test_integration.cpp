@@ -2,8 +2,13 @@
 // property-style parameterized sweeps over cluster size and calibration.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "baselines/cfengine.hpp"
 #include "cluster/cluster.hpp"
@@ -205,6 +210,157 @@ TEST(IntegrationProperty, SequentialIntegrationBindsPositions) {
     EXPECT_EQ(rows.rows[i][1].as_int(), static_cast<std::int64_t>(i));
     EXPECT_EQ(rows.rows[i][0].as_text(), strings::cat("compute-0-", i));
   }
+}
+
+// --- install images: node installs equal package-by-package installs -----------
+
+/// Everything observable about a tree: walk order, type, size, link target,
+/// file_hash, then disk_usage("/").
+std::string describe(const vfs::FileSystem& fs) {
+  std::string out;
+  fs.walk("/", [&](const std::string& path, const vfs::Stat& st) {
+    out += path + " " + std::to_string(static_cast<int>(st.type)) + " " +
+           std::to_string(st.size) + " " + st.link_target;
+    if (st.type == vfs::NodeType::kFile) out += " " + std::to_string(fs.file_hash(path));
+    out += "\n";
+  });
+  return out + "du " + std::to_string(fs.disk_usage("/")) + "\n";
+}
+
+/// Rebuilds `node`'s root partition the way the installer did before
+/// install images: wipe, install the resolution package by package, write
+/// the %post files. Returns the package database that install records.
+rpm::RpmDatabase copy_reinstall(cluster::Node& node, cluster::Frontend& frontend) {
+  const auto profile = frontend.kickstart_server().handle_request_file(node.ip());
+  vfs::FileSystem& fs = node.fs();
+  fs.wipe_root_partition();
+  rpm::RpmDatabase db;
+  for (const rpm::Package* pkg :
+       rpm::resolve(frontend.distribution(), profile.packages(), node.arch()).install_order)
+    db.install(*pkg, fs);
+  fs.mkdir_p("/etc/rc.d/rocks-post.d");
+  int post_index = 0;
+  for (const auto& post : profile.posts()) {
+    char prefix[16];
+    std::snprintf(prefix, sizeof prefix, "%02d", post_index++);
+    fs.write_file(strings::cat("/etc/rc.d/rocks-post.d/", prefix, "-", post.origin), post.body);
+  }
+  return db;
+}
+
+/// Compute nodes on i386 and ia64, an NFS server and a web server.
+std::unique_ptr<cluster::Cluster> mixed_cluster() {
+  cluster::ClusterConfig config;
+  config.synth.filler_packages = 30;
+  config.synth.arches = {"i386", "ia64"};
+  auto cluster = std::make_unique<cluster::Cluster>(std::move(config));
+  for (int i = 0; i < 3; ++i) cluster->add_node();
+  cluster->integrate_all();
+  cluster->insert_ethers().set_arch("ia64");
+  cluster->add_node("ia64");
+  cluster->integrate_all();
+  cluster->insert_ethers().set_arch("i386");
+  cluster->insert_ethers().set_membership(7, "nfs");
+  cluster->add_node();
+  cluster->integrate_all();
+  cluster->insert_ethers().set_membership(8, "web");
+  cluster->add_node();
+  cluster->integrate_all();
+  return cluster;
+}
+
+using DriftReport = std::tuple<std::size_t, std::size_t, std::size_t, double>;
+
+DriftReport drift(const cluster::Node& node, const cluster::Node& reference) {
+  const auto report = baselines::CfengineAgent().audit(node, reference);
+  return {report.files_examined, report.drifted, report.unmanaged_extra, report.seconds};
+}
+
+TEST(InstallImages, NodeInstallsMatchPackageByPackageInstalls) {
+  // Two clusters from one seed. `shared` installs the way the cluster does,
+  // from one image per (appliance, arch); every root of `copied` is rebuilt
+  // package by package. The same operator actions follow on both, and
+  // after each the two must be indistinguishable.
+  const auto shared = mixed_cluster();
+  const auto copied = mixed_cluster();
+  std::map<std::string, rpm::RpmDatabase> copied_db;
+  const auto rebuild_copied = [&] {
+    for (cluster::Node* node : copied->nodes())
+      copied_db[node->hostname()] = copy_reinstall(*node, copied->frontend());
+  };
+  const std::vector<std::string> hosts = {"compute-0-0", "compute-0-1", "compute-0-2",
+                                          "compute-0-3", "nfs-0-0",     "web-0-0"};
+  const auto expect_twins = [&](const std::string& when) {
+    const cluster::Node& reference = *shared->node("compute-0-0");
+    const cluster::Node& copied_reference = *copied->node("compute-0-0");
+    for (const std::string& host : hosts) {
+      const cluster::Node* a = shared->node(host);
+      const cluster::Node* b = copied->node(host);
+      ASSERT_NE(a, nullptr) << host;
+      ASSERT_NE(b, nullptr) << host;
+      EXPECT_EQ(describe(a->fs()), describe(b->fs())) << host << " " << when;
+      EXPECT_EQ(a->rpmdb().manifest(), copied_db[host].manifest()) << host << " " << when;
+      EXPECT_EQ(a->software_fingerprint(), copied_db[host].fingerprint()) << host << " " << when;
+      EXPECT_EQ(drift(*a, reference), drift(*b, copied_reference)) << host << " " << when;
+    }
+  };
+  ASSERT_EQ(shared->node("compute-0-3")->arch(), "ia64");
+  ASSERT_NE(shared->node("web-0-0"), nullptr);
+  // One image per (appliance, arch).
+  EXPECT_EQ(shared->frontend().install_images().size(), 4u);
+  rebuild_copied();
+  expect_twins("after integration");
+
+  // The cached images, which no node write may reach.
+  std::vector<std::string> images_before;
+  for (const std::string& host : hosts) {
+    const cluster::Node* node = shared->node(host);
+    const auto profile = shared->frontend().kickstart_server().handle_request_file(node->ip());
+    images_before.push_back(describe(
+        shared->frontend().install_images().image(profile.packages(), node->arch())->tree));
+  }
+
+  // Operator actions: hand edits, unpackaged software, a disk clone.
+  const std::string libc = shared->node("compute-0-1")->rpmdb().find("glibc")->files[0];
+  rpm::Package rogue;
+  rogue.name = "rogue-tool";
+  rogue.evr = rpm::Evr::parse("0.1-1");
+  rogue.files = {"/usr/local/bin/rogue-tool", "/etc/rogue-tool.conf"};
+  rogue.size_bytes = 10000;
+  for (cluster::Cluster* c : {shared.get(), copied.get()}) {
+    c->node("compute-0-1")->corrupt_file(libc, "hand-edited");
+    c->node("compute-0-1")->corrupt_file("/etc/new/by-hand.conf", "x");
+    c->node("nfs-0-0")->clone_software_from(*c->node("compute-0-0"));
+  }
+  shared->node("compute-0-2")->install_rogue_package(rogue);
+  copied_db["compute-0-2"].install(rogue, copied->node("compute-0-2")->fs());
+  shared->node("compute-0-3")->install_rogue_package(rogue);
+  copied_db["compute-0-3"].install(rogue, copied->node("compute-0-3")->fs());
+  copied_db["nfs-0-0"] = copied_db["compute-0-0"];
+  expect_twins("after operator actions");
+  EXPECT_NE(shared->node("compute-0-1")->fs().read_file(libc),
+            shared->node("compute-0-0")->fs().read_file(libc));
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const cluster::Node* node = shared->node(hosts[i]);
+    if (hosts[i] == "nfs-0-0") continue;  // now carries compute software
+    const auto profile = shared->frontend().kickstart_server().handle_request_file(node->ip());
+    EXPECT_EQ(describe(shared->frontend()
+                           .install_images()
+                           .image(profile.packages(), node->arch())
+                           ->tree),
+              images_before[i])
+        << hosts[i];
+  }
+
+  // A second reinstall drops every change.
+  const std::uint64_t builds = shared->frontend().install_images().builds();
+  shared->reinstall_all();
+  copied->reinstall_all();
+  for (cluster::Cluster* c : {shared.get(), copied.get()})
+    for (cluster::Node* node : c->nodes()) ASSERT_TRUE(node->is_running()) << node->hostname();
+  rebuild_copied();
+  expect_twins("after a second reinstall");
+  EXPECT_EQ(shared->frontend().install_images().builds(), builds);  // nothing rebuilt
 }
 
 }  // namespace

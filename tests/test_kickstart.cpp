@@ -326,7 +326,7 @@ TEST_F(GeneratorTest, NodeFileEditInvalidatesProfileCache) {
   EXPECT_NE(std::find(after.begin(), after.end(), "strace"), after.end());
 }
 
-TEST_F(GeneratorTest, ExplicitInvalidationAfterDistroChange) {
+TEST_F(GeneratorTest, DistroEditInvalidatesProfileCache) {
   NodeFileSet files;
   NodeFile mod("m");
   mod.add_package("glibc");
@@ -345,18 +345,23 @@ TEST_F(GeneratorTest, ExplicitInvalidationAfterDistroChange) {
   const Generator gen(files, g, &repo);
   auto nc = node_config("m");
   EXPECT_EQ(gen.generate(nc).packages(), (std::vector<std::string>{"glibc"}));
-  // The repository has no revision counter, so the generator cannot see this
-  // mutation on its own...
+  EXPECT_EQ(gen.profile_cache_misses(), 1u);
+  // No bus and no call: the generator polls the repository's revision, so
+  // the next request sees the added package.
+  const std::uint64_t revision = repo.revision();
   rpm::Package pkg;
   pkg.name = "late-arrival";
   pkg.evr = rpm::Evr::parse("1.0-1");
   pkg.arch = "i386";
   repo.add(pkg);
-  EXPECT_EQ(gen.generate(nc).packages(), (std::vector<std::string>{"glibc"}));
-  // ...until told. After invalidation the optional package is carried.
-  gen.invalidate_profiles();
+  EXPECT_NE(repo.revision(), revision);
   EXPECT_EQ(gen.generate(nc).packages(),
             (std::vector<std::string>{"glibc", "late-arrival"}));
+  EXPECT_EQ(gen.profile_cache_misses(), 2u);
+  // An unchanged repository keeps serving the cached profile.
+  EXPECT_EQ(gen.generate(nc).packages(),
+            (std::vector<std::string>{"glibc", "late-arrival"}));
+  EXPECT_EQ(gen.profile_cache_misses(), 2u);
 }
 
 class ServerTest : public ::testing::Test {

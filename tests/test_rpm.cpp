@@ -1,8 +1,9 @@
 // Unit tests for the RPM substrate: rpmvercmp ordering, EVR parsing,
-// repositories, the dependency solver, the installed-package database, and
-// the synthetic Red Hat release generator.
+// repositories, the dependency solver, the installed-package database,
+// install images, and the synthetic Red Hat release generator.
 #include <gtest/gtest.h>
 
+#include "rpm/image.hpp"
 #include "rpm/package.hpp"
 #include "rpm/repository.hpp"
 #include "rpm/rpmdb.hpp"
@@ -369,6 +370,174 @@ TEST(SynthTest, MyrinetDriverIsSourcePackage) {
   ASSERT_NE(gm, nullptr);
   EXPECT_TRUE(gm->is_source);
   EXPECT_GT(gm->build_seconds, 0.0);
+}
+
+// --- install images ------------------------------------------------------------
+
+/// Everything observable about a tree: walk order, type, size, link target,
+/// file_hash, then disk_usage("/").
+std::string describe(const vfs::FileSystem& fs) {
+  std::string out;
+  fs.walk("/", [&](const std::string& path, const vfs::Stat& st) {
+    out += path + " " + std::to_string(static_cast<int>(st.type)) + " " +
+           std::to_string(st.size) + " " + st.link_target;
+    if (st.type == vfs::NodeType::kFile) out += " " + std::to_string(fs.file_hash(path));
+    out += "\n";
+  });
+  return out + "du " + std::to_string(fs.disk_usage("/")) + "\n";
+}
+
+/// A machine's disk and package database.
+struct Machine {
+  Machine() {
+    fs.add_partition("/state/partition1");
+    fs.write_file("/state/partition1/user-data", "survives reinstalls");
+    fs.mkdir_p("/etc");
+    fs.write_file("/etc/old-config", "wiped by a reinstall");
+  }
+  vfs::FileSystem fs;
+  RpmDatabase db;
+};
+
+/// A reinstall package by package: wipe the root, install install_order.
+void copy_reinstall(Machine& m, const Repository& repo, const std::vector<std::string>& names,
+                    std::string_view arch) {
+  m.fs.wipe_root_partition();
+  m.db = RpmDatabase{};
+  for (const Package* pkg : resolve(repo, names, arch).install_order) m.db.install(*pkg, m.fs);
+}
+
+/// A reinstall from an image: share its tree, adopt its package set.
+void image_reinstall(Machine& m, const InstallImage& image) {
+  m.fs.wipe_root_partition(&image.tree);
+  m.db = image.packages;
+}
+
+void expect_same_machine(const Machine& a, const Machine& b, const std::string& what) {
+  EXPECT_EQ(describe(a.fs), describe(b.fs)) << what;
+  EXPECT_EQ(a.db.manifest(), b.db.manifest()) << what;
+  EXPECT_EQ(a.db.fingerprint(), b.db.fingerprint()) << what;
+}
+
+TEST(InstallImageTest, MatchesAPackageByPackageInstallForEveryAppliance) {
+  SynthOptions options;
+  options.filler_packages = 40;
+  options.arches = {"i386", "ia64"};
+  const SynthDistro distro = make_redhat_release(options);
+  std::vector<std::string> nfs_set = distro.base;
+  nfs_set.insert(nfs_set.end(), distro.nfs_extras.begin(), distro.nfs_extras.end());
+  for (const char* arch : {"i386", "ia64"}) {
+    for (const auto& names : {distro.compute_set(), distro.frontend_set(), nfs_set}) {
+      const auto image = build_install_image(distro.repo, names, arch);
+      const std::string image_before = describe(image->tree);
+      Machine copied;
+      Machine shared;
+      copy_reinstall(copied, distro.repo, names, arch);
+      image_reinstall(shared, *image);
+      const std::string what = std::string(arch) + ", " + std::to_string(names.size()) + " names";
+      expect_same_machine(copied, shared, what);
+      EXPECT_EQ(shared.fs.read_file("/state/partition1/user-data"), "survives reinstalls");
+      EXPECT_EQ(image->packages.package_count(), image->resolution.install_order.size());
+      EXPECT_EQ(image->total_bytes, image->resolution.total_bytes());
+
+      // The same writes on both: the image-based machine writes into its
+      // own nodes, never the image's.
+      Package rogue;
+      rogue.name = "rogue";
+      rogue.evr = Evr::parse("1.0-1");
+      rogue.files = {"/usr/bin/rogue", "/etc/rogue.conf"};
+      rogue.size_bytes = 4096;
+      const Package& upgraded = *distro.repo.newest("glibc", arch);
+      for (Machine* m : {&copied, &shared}) {
+        m->fs.mkdir_p("/etc/rc.d/rocks-post.d");
+        m->fs.write_file("/etc/rc.d/rocks-post.d/00-base", "echo post");
+        m->fs.write_file("/usr/bin/" + names.front(), "corrupted");
+        m->db.install(rogue, m->fs);
+        m->db.install(upgraded, m->fs);  // an upgrade erases, then writes
+        m->db.erase(names.back(), m->fs);
+      }
+      expect_same_machine(copied, shared, what + ", after writes");
+      EXPECT_EQ(describe(image->tree), image_before) << what;
+      EXPECT_FALSE(image->packages.installed("rogue"));
+
+      // A second reinstall returns both to the image.
+      copy_reinstall(copied, distro.repo, names, arch);
+      image_reinstall(shared, *image);
+      expect_same_machine(copied, shared, what + ", reinstalled");
+    }
+  }
+}
+
+TEST(InstallImageTest, CacheKeysOnRevisionArchAndPackageList) {
+  SynthOptions options;
+  options.filler_packages = 20;
+  options.arches = {"i386", "ia64"};
+  SynthDistro distro = make_redhat_release(options);
+  InstallImageCache cache(distro.repo);
+  const auto compute = cache.image(distro.compute_set(), "i386");
+  EXPECT_EQ(cache.image(distro.compute_set(), "i386"), compute);  // one image, shared
+  EXPECT_NE(cache.image(distro.compute_set(), "ia64"), compute);
+  EXPECT_NE(cache.image(distro.frontend_set(), "i386"), compute);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_EQ(compute->revision, distro.repo.revision());
+
+  // A new package version is a new revision: every image of the old one is
+  // dropped, and the next request installs the new version.
+  const Package* glibc = distro.repo.newest("glibc", "i386");
+  ASSERT_NE(glibc, nullptr);
+  Package update = *glibc;
+  update.evr.release += ".1";
+  update.files = {"/lib/libc-updated.so"};
+  distro.repo.add(update);
+  const auto rebuilt = cache.image(distro.compute_set(), "i386");
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.builds(), 4u);
+  EXPECT_NE(rebuilt, compute);
+  EXPECT_EQ(rebuilt->packages.find("glibc")->evr, update.evr);
+  EXPECT_TRUE(rebuilt->tree.is_file("/lib/libc-updated.so"));
+  // A holder keeps the old image, unchanged.
+  EXPECT_NE(compute->packages.find("glibc")->evr, update.evr);
+  EXPECT_FALSE(compute->tree.exists("/lib/libc-updated.so"));
+}
+
+TEST(RepositoryTest, RevisionMovesOnAddAndTravelsWithCopies) {
+  Repository repo("r");
+  Repository other("r");
+  EXPECT_NE(repo.revision(), other.revision());
+  const std::uint64_t empty = repo.revision();
+  Package pkg;
+  pkg.name = "a";
+  pkg.evr = Evr::parse("1-1");
+  repo.add(pkg);
+  EXPECT_NE(repo.revision(), empty);
+  const Repository copy = repo;
+  EXPECT_EQ(copy.revision(), repo.revision());
+  other = copy;
+  EXPECT_EQ(other.revision(), repo.revision());
+  other = Repository("fresh");  // what a rocks-dist rebuild assigns
+  EXPECT_NE(other.revision(), repo.revision());
+}
+
+TEST(RpmDbTest, CopiesShareUntilEitherSideWrites) {
+  vfs::FileSystem fs;
+  RpmDatabase db;
+  Package a;
+  a.name = "a";
+  a.evr = Evr::parse("1-1");
+  a.files = {"/usr/bin/a"};
+  db.install(a, fs);
+  RpmDatabase copy = db;
+  EXPECT_EQ(copy.find("a"), db.find("a"));  // one map, no Package copied
+  Package b = a;
+  b.name = "b";
+  b.files = {"/usr/bin/b"};
+  copy.install(b, fs);
+  EXPECT_FALSE(db.installed("b"));
+  EXPECT_TRUE(copy.installed("b"));
+  db.erase("a", fs);
+  EXPECT_TRUE(copy.installed("a"));
+  EXPECT_FALSE(db.installed("a"));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/error.hpp"
@@ -736,6 +737,286 @@ TEST_P(ResolverDifferential, MatchesReferenceResolver) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResolverDifferential, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// --- copy-on-write sharing (DESIGN.md §17.3) ---------------------------------
+
+/// Everything observable about a tree, one line per node in walk order:
+/// type, size, link target, file_hash; then disk_usage("/").
+std::string describe(const FileSystem& fs) {
+  std::string out;
+  fs.walk("/", [&](const std::string& path, const Stat& st) {
+    out += path + " " + std::to_string(static_cast<int>(st.type)) + " " +
+           std::to_string(st.size) + " " + st.link_target;
+    if (st.type == NodeType::kFile) out += " " + std::to_string(fs.file_hash(path));
+    out += "\n";
+  });
+  return out + "du " + std::to_string(fs.disk_usage("/")) + "\n";
+}
+
+/// What copy_tree promises, done by hand with no sharing: `src` (followed)
+/// recreated node by node at `dst`, replacing what `dst` held.
+void deep_copy(const FileSystem& from, const std::string& src, FileSystem& to,
+               const std::string& dst) {
+  struct Item {
+    std::string rel;
+    Stat st;
+    std::string content;
+  };
+  const std::optional<std::string> real = from.resolve(src);
+  if (!real) throw IoError("deep_copy: no such path: " + src);
+  std::vector<Item> items;  // collected first: `from` may be `to`
+  from.walk(*real, [&](const std::string& path, const Stat& st) {
+    const std::string rel = *real == "/" ? (path == "/" ? "" : path) : path.substr(real->size());
+    items.push_back({rel, st, st.type == NodeType::kFile ? from.read_file(path) : ""});
+  });
+  const std::string target = normalize(dst);
+  to.mkdir_p(dirname(target));
+  to.remove(target);
+  for (const Item& item : items) {
+    const std::string path = target + item.rel;
+    switch (item.st.type) {
+      case NodeType::kDirectory: to.mkdir(path); break;
+      case NodeType::kFile:
+        to.write_file(path, item.content, item.st.size - item.content.size());
+        break;
+      case NodeType::kSymlink: to.symlink(item.st.link_target, path); break;
+    }
+  }
+}
+
+/// A tree with nested directories, payload files, and absolute, relative
+/// and directory symlinks — the shapes an installed root holds.
+void build_tree(FileSystem& fs) {
+  fs.mkdir_p("/a/b/c");
+  fs.mkdir_p("/c/b");
+  fs.write_file("/a/f", "a-f", 100);
+  fs.write_file("/a/b/f", "ab-f");
+  fs.write_file("/a/b/c/f", "abc-f", 5000);
+  fs.write_file("/c/b/f", "cb-f");
+  fs.symlink("/a/b", "/b");
+  fs.symlink("../a", "/c/up");
+  fs.symlink("f", "/a/b/rel");
+  fs.symlink("/nowhere", "/a/dangling");
+}
+
+TEST(CopyOnWrite, CopyTreeSharesWritesStayPrivate) {
+  FileSystem src;
+  build_tree(src);
+  FileSystem dst;
+  dst.copy_tree(src, "/a", "/a");
+  dst.copy_tree(src, "/c", "/c");
+  dst.copy_tree(src, "/b", "/b");  // the link followed: /a/b's directory
+  const std::string src_before = describe(src);
+  const std::string dst_before = describe(dst);
+  EXPECT_EQ(dst.read_file("/c/up/b/c/f"), "abc-f");
+
+  // Writes through dst, several through symlinks into shared directories.
+  dst.append_file("/c/up/b/rel", "+dst");  // /c/up -> /a, rel -> f
+  dst.rename("/c/up/b/c/f", "/c/up/moved");
+  dst.remove("/b/f");
+  dst.write_file("/c/up/f", "replaced");
+  dst.mkdir_p("/c/up/b/new/dir");
+  dst.symlink("/a/f", "/c/b/link");
+  EXPECT_EQ(dst.read_file("/a/b/f"), "ab-f+dst");
+  EXPECT_EQ(dst.read_file("/a/moved"), "abc-f");
+  EXPECT_FALSE(dst.exists("/a/b/c/f"));
+  EXPECT_EQ(describe(src), src_before);
+
+  // And the other way: the source's writes never reach the copy.
+  FileSystem copy;
+  copy.copy_tree(src, "/a", "/a");
+  const std::string copy_before = describe(copy);
+  src.append_file("/a/b/f", "+src");
+  src.remove("/a/b/c");
+  src.rename("/a/f", "/a/b/g");
+  EXPECT_EQ(describe(copy), copy_before);
+  EXPECT_NE(describe(dst), dst_before);
+}
+
+TEST(CopyOnWrite, SiblingsOfOneBaseStayIsolated) {
+  FileSystem base;
+  build_tree(base);
+  const std::string base_before = describe(base);
+  FileSystem one;
+  FileSystem two;
+  for (FileSystem* fs : {&one, &two}) {
+    fs->add_partition("/state/partition1");
+    fs->write_file("/state/partition1/keep", "kept");
+    fs->write_file("/old", "gone after the wipe");
+    fs->wipe_root_partition(&base);
+    EXPECT_EQ(fs->read_file("/state/partition1/keep"), "kept");
+    EXPECT_FALSE(fs->exists("/old"));
+    EXPECT_EQ(fs->read_file("/b/c/f"), "abc-f");
+  }
+  const std::string two_before = describe(two);
+  one.append_file("/b/rel", "+one");
+  one.rename("/c/up/b/c", "/c/up/c-moved");
+  one.remove("/c/b");
+  one.write_file("/state/partition1/keep", "one's");
+  EXPECT_EQ(one.read_file("/a/b/f"), "ab-f+one");
+  EXPECT_EQ(one.read_file("/a/c-moved/f"), "abc-f");
+  EXPECT_EQ(describe(two), two_before);
+  EXPECT_EQ(describe(base), base_before);
+  EXPECT_EQ(two.read_file("/state/partition1/keep"), "kept");
+
+  // A second wipe onto the base drops every private change except the
+  // partition's.
+  one.wipe_root_partition(&base);
+  EXPECT_EQ(one.read_file("/a/b/f"), "ab-f");
+  EXPECT_EQ(one.read_file("/state/partition1/keep"), "one's");
+}
+
+TEST(CopyOnWrite, CopyIntoItsOwnSubtreeSnapshotsTheSource) {
+  FileSystem fs;
+  build_tree(fs);
+  FileSystem expected;
+  build_tree(expected);
+  deep_copy(expected, "/a", expected, "/a/b/inner");
+  fs.copy_tree(fs, "/a", "/a/b/inner");
+  EXPECT_EQ(describe(fs), describe(expected));  // finite: no node contains itself
+  fs.write_file("/a/b/inner/f", "inner only");
+  EXPECT_EQ(fs.read_file("/a/f"), "a-f");
+}
+
+TEST(CopyOnWrite, PartitionReplacesWhatTheBaseHoldsAtItsMountPoint) {
+  FileSystem base;
+  base.mkdir_p("/state/partition1");
+  base.write_file("/state/partition1/from-base", "b");
+  FileSystem fs;
+  fs.add_partition("/state/partition1");
+  fs.write_file("/state/partition1/mine", "m");
+  fs.wipe_root_partition(&base);
+  EXPECT_EQ(fs.list("/state/partition1"), std::vector<std::string>{"mine"});
+  EXPECT_TRUE(base.exists("/state/partition1/from-base"));
+}
+
+/// Seeded differential: trees that share nodes (copy_tree, wipe onto a
+/// base, a copy into the source's own subtree) take random writes, and each
+/// must stay equal to a twin built by deep copies that share nothing —
+/// every write lands where it should and nowhere else.
+class SharingDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SharingDifferential, MatchesDeepCopies) {
+  std::mt19937 rng(GetParam());
+  constexpr std::size_t kTrees = 4;
+  std::vector<FileSystem> trees(kTrees);
+  std::vector<FileSystem> twins(kTrees);
+  build_tree(trees[0]);
+  build_tree(twins[0]);
+  // 1: a node reinstalled from tree 0 as its base.
+  trees[1].add_partition("/state");
+  trees[1].write_file("/state/keep", "k");
+  trees[1].wipe_root_partition(&trees[0]);
+  twins[1].add_partition("/state");
+  twins[1].write_file("/state/keep", "k");
+  twins[1].wipe_root_partition();
+  for (const std::string& entry : twins[0].list("/")) {
+    const std::string path = "/" + entry;
+    if (twins[0].is_symlink(path)) {
+      twins[1].symlink(twins[0].readlink(path), path);  // a base's links stay links
+    } else {
+      deep_copy(twins[0], path, twins[1], path);
+    }
+  }
+  // 2: parts of tree 0 copied elsewhere.
+  trees[2].copy_tree(trees[0], "/a", "/x/a");
+  trees[2].copy_tree(trees[0], "/c", "/c");
+  deep_copy(twins[0], "/a", twins[2], "/x/a");
+  deep_copy(twins[0], "/c", twins[2], "/c");
+  // 3: a copy of tree 1 into its own subtree.
+  trees[3].copy_tree(trees[1], "/a", "/a");
+  trees[3].copy_tree(trees[3], "/a", "/a/b/again");
+  deep_copy(twins[1], "/a", twins[3], "/a");
+  deep_copy(twins[3], "/a", twins[3], "/a/b/again");
+  for (std::size_t t = 0; t < kTrees; ++t) ASSERT_EQ(describe(trees[t]), describe(twins[t]));
+
+  for (int op = 0; op < 400; ++op) {
+    const std::size_t t = rng() % kTrees;
+    FileSystem& fs = trees[t];
+    FileSystem& twin = twins[t];
+    std::string path = random_path(rng);
+    std::string other = random_path(rng);
+    if (rng() % 2 == 0) path = "/a" + path;  // into the shared directories
+    if (rng() % 3 == 0) other = "/c/up" + other;  // through a relative link
+    const std::string what =
+        "op " + std::to_string(op) + " on tree " + std::to_string(t) + " '" + path + "'";
+    const auto both = [&](const auto& apply) {
+      bool twin_ok = true;
+      try {
+        apply(twin);
+      } catch (const IoError&) {
+        twin_ok = false;
+      }
+      expect_same_outcome([&] { apply(fs); }, twin_ok, what);
+    };
+    const std::string content = "v" + std::to_string(op);
+    const std::uint64_t payload = rng() % 2 ? 0 : 4097;
+    switch (rng() % 9) {
+      case 0: both([&](FileSystem& f) { f.write_file(path, content, payload); }); break;
+      case 1: both([&](FileSystem& f) { f.append_file(path, content); }); break;
+      case 2: both([&](FileSystem& f) { f.remove(path); }); break;
+      case 3: both([&](FileSystem& f) { f.rename(path, other); }); break;
+      case 4: both([&](FileSystem& f) { f.mkdir_p(path); }); break;
+      case 5: both([&](FileSystem& f) { f.symlink(other, path); }); break;
+      case 6:
+        if (normalize(other) == "/") break;  // "/" cannot be replaced
+        {
+          bool twin_ok = true;
+          try {
+            deep_copy(twin, path, twin, other);
+          } catch (const IoError&) {
+            twin_ok = false;
+          }
+          expect_same_outcome([&] { fs.copy_tree(fs, path, other); }, twin_ok,
+                              "copy_tree to '" + other + "' " + what);
+        }
+        break;
+      case 7: both([&](FileSystem& f) { f.wipe_root_partition(); }); break;
+      default: {
+        // A file hash read through one tree fills a cache the others share.
+        const bool is_file = twin.is_file(path);
+        EXPECT_EQ(fs.is_file(path), is_file) << what;
+        if (is_file) {
+          EXPECT_EQ(fs.file_hash(path), twin.file_hash(path)) << what;
+        }
+      }
+    }
+    for (std::size_t u = 0; u < kTrees; ++u)
+      ASSERT_EQ(describe(trees[u]), describe(twins[u])) << what << ", then tree " << u;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharingDifferential, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+/// Threads each own one tree reinstalled from a common base and read and
+/// write the same shared paths at once: reference counts and the shared
+/// hash cache are the only state the trees have in common.
+TEST(CopyOnWrite, ConcurrentTreesSharingOneBase) {
+  FileSystem base;
+  build_tree(base);
+  for (int i = 0; i < 64; ++i) base.write_file("/a/b/c/pkg" + std::to_string(i), "p", 4096);
+  const std::string base_before = describe(base);
+  constexpr int kThreads = 4;
+  std::vector<FileSystem> trees(kThreads);
+  for (FileSystem& fs : trees) fs.wipe_root_partition(&base);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      FileSystem& fs = trees[t];
+      for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 64; ++i) (void)fs.file_hash("/a/b/c/pkg" + std::to_string(i));
+        fs.append_file("/b/f", std::to_string(t));
+        fs.write_file("/a/b/c/pkg" + std::to_string(round % 64), "mine");
+        fs.wipe_root_partition(&base);
+      }
+      fs.append_file("/b/f", "+" + std::to_string(t));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(describe(base), base_before);
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(trees[t].read_file("/a/b/f"), "ab-f+" + std::to_string(t));
+}
 
 }  // namespace
 }  // namespace rocks::vfs
