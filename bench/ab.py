@@ -3,6 +3,7 @@
 
     python3 bench/ab.py --workload job_churn [--workload node_integration ...]
                         [--base HEAD~1] [--pairs 10] [--scratch DIR] [--out FILE]
+    python3 bench/ab.py --check BENCH_job_churn.json
 
 Run from anywhere inside the repository. --workload may be given more than
 once; the workloads run one after another, each with its own pairs, on one
@@ -34,7 +35,12 @@ build of each tree.
   workload runs). The change is named by
   its HEAD commit; if tracked files have uncommitted edits, the file also
   records the SHA-256 of `git diff HEAD`, so a run can be matched to the
-  exact code it measured.
+  exact code it measured, and the SHA-256 of that diff restricted to src/.
+
+--check FILE is read-only: it runs nothing and builds nothing. It recomputes
+the src/ diff against the commit FILE names and says whether FILE measured
+the src/ tree checked out now (exit 0) or an older one (exit 1). A file that
+predates the src/ hash can only be judged when it measured a clean commit.
 
 With the defaults (10 pairs of 20-s runs) each workload takes 8-10 minutes
 on 4 vCPUs, plus about 2.5 minutes to build the base the first time.
@@ -69,6 +75,38 @@ def git(*args):
     if done.returncode != 0:
         fail(f"git {' '.join(args)} failed: {done.stderr.decode().strip()}")
     return done.stdout
+
+
+def src_diff_sha256(commit):
+    """SHA-256 of the src/ diff between `commit` and the working tree, or
+    None when src/ is unchanged."""
+    diff = git("diff", commit, "--binary", "--", "src")
+    return hashlib.sha256(diff).hexdigest() if diff else None
+
+
+def check(path):
+    """Whether a BENCH_<workload>.json measured the src/ tree checked out now."""
+    try:
+        change = json.loads(Path(path).read_text())["change"]
+    except (OSError, json.JSONDecodeError, KeyError) as error:
+        fail(f"{path}: not a result file ({error})")
+    commit = change["commit"]
+    if "src_diff_sha256" in change:
+        recorded = change["src_diff_sha256"]
+    elif "uncommitted_diff_sha256" not in change:
+        recorded = None  # measured a clean commit
+    else:
+        print(f"{path}: cannot tell: it measured uncommitted edits on {commit[:12]} "
+              "and predates the src/ hash")
+        return 1
+    now = src_diff_sha256(commit)
+    if now == recorded:
+        print(f"{path}: fresh: it measured the src/ tree checked out now "
+              f"({commit[:12]} plus {'no src/ edits' if now is None else 'src/ diff ' + now[:12]})")
+        return 0
+    print(f"{path}: STALE: src/ differs from the tree it measured ({commit[:12]} plus "
+          f"{'no src/ edits' if recorded is None else 'src/ diff ' + recorded[:12]})")
+    return 1
 
 
 def export_base(sha, scratch):
@@ -252,8 +290,10 @@ def run_workload(spec, workload, trees, pairs, sha, change, out):
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", required=True, action="append",
+    parser.add_argument("--workload", action="append",
                         help="a workload to run; give it once per workload")
+    parser.add_argument("--check", metavar="FILE",
+                        help="only say whether FILE measured the current src/ tree")
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--scratch", type=Path, default=ROOT / ".bench_ab",
@@ -261,6 +301,12 @@ def main():
     parser.add_argument("--out", type=Path,
                         help="result file for a single workload (default: BENCH_<workload>.json)")
     args = parser.parse_args()
+    if args.check:
+        if args.workload:
+            fail("--check runs nothing; give it without --workload")
+        return check(args.check)
+    if not args.workload:
+        fail("give at least one --workload, or --check FILE")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = {w["name"] for w in spec["workloads"]}
@@ -278,6 +324,7 @@ def main():
     diff = git("diff", "HEAD", "--binary")
     if diff:
         change["uncommitted_diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    change["src_diff_sha256"] = src_diff_sha256(change["commit"])
 
     trees = {"parent": export_base(sha, args.scratch.resolve()), "change": ROOT}
     for tree in trees.values():

@@ -8,9 +8,6 @@
 
 namespace rocks::batch {
 
-using sqldb::sql_real;
-using sqldb::sql_text;
-
 std::string_view job_state_name(JobState state) {
   switch (state) {
     case JobState::kQueued: return "Q";
@@ -32,26 +29,25 @@ void Accounting::ensure_schema(sqldb::Database& db) {
 }
 
 void Accounting::append(sqldb::Database& db, const AccountingRecord& record) {
-  db.execute(strings::cat(
+  db.execute(
       "INSERT INTO sched_accounting (id, name, state, reason, submitted, "
-      "started, ended, nodes_used, retries) VALUES (",
-      record.id, ", ", sql_text(record.name), ", ",
-      sql_text(job_state_name(record.state)), ", ", sql_text(record.reason), ", ",
-      sql_real(record.submitted), ", ", sql_real(record.started), ", ",
-      sql_real(record.ended), ", ", record.nodes_used, ", ", record.retries, ")"));
+      "started, ended, nodes_used, retries) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+      {static_cast<std::int64_t>(record.id), record.name, job_state_name(record.state),
+       record.reason, record.submitted, record.started, record.ended,
+       static_cast<std::int64_t>(record.nodes_used), record.retries});
 }
 
 bool Accounting::has(sqldb::Database& db, JobId id) {
-  const sqldb::ResultSet rows = db.execute(
-      strings::cat("SELECT id FROM sched_accounting WHERE id = ", id));
+  const sqldb::ResultSet rows =
+      db.execute("SELECT id FROM sched_accounting WHERE id = ?", {static_cast<std::int64_t>(id)});
   return rows.row_count() > 0;
 }
 
 std::optional<AccountingRecord> Accounting::lookup(sqldb::Database& db, JobId id) {
-  const sqldb::ResultSet rows = db.execute(strings::cat(
+  const sqldb::ResultSet rows = db.execute(
       "SELECT id, name, state, reason, submitted, started, ended, nodes_used, "
-      "retries FROM sched_accounting WHERE id = ",
-      id));
+      "retries FROM sched_accounting WHERE id = ?",
+      {static_cast<std::int64_t>(id)});
   if (rows.row_count() == 0) return std::nullopt;
   AccountingRecord record;
   record.id = static_cast<JobId>(rows.at(0, "id").as_int());

@@ -14,13 +14,13 @@
 
 namespace rocks::batch {
 
-using sqldb::sql_real;
-using sqldb::sql_text;
 using strings::cat;
 
 namespace {
 
 constexpr double kEpsilon = 1e-9;  // shadow-window comparisons
+
+sqldb::Value id_value(JobId id) { return sqldb::Value(static_cast<std::int64_t>(id)); }
 
 }  // namespace
 
@@ -49,7 +49,24 @@ bool parse_node_life(std::string_view name, NodeLife& out) {
 }
 
 Scheduler::Scheduler(sqldb::Database& db, netsim::Simulator& sim, SchedulerConfig config)
-    : db_(db), sim_(sim), config_(std::move(config)), rng_(config_.rng_seed) {
+    : db_(db),
+      submit_job_(db.prepare(
+          "INSERT INTO sched_jobs (id, name, want, min_want, walltime, max_retries, state, "
+          "retries, submitted, started, deadline, not_before, assigned) "
+          "VALUES (?, ?, ?, ?, ?, ?, 'Q', ?, ?, -1.0, -1.0, 0.0, '')")),
+      delete_job_(db.prepare("DELETE FROM sched_jobs WHERE id = ?")),
+      start_job_(db.prepare(
+          "UPDATE sched_jobs SET state = 'R', started = ?, deadline = ?, assigned = ? "
+          "WHERE id = ?")),
+      requeue_job_(db.prepare(
+          "UPDATE sched_jobs SET state = 'Q', retries = ?, not_before = ?, started = -1.0, "
+          "deadline = -1.0, assigned = '' WHERE id = ?")),
+      update_node_(db.prepare("UPDATE sched_nodes SET state = ? WHERE host = ?")),
+      insert_node_(db.prepare("INSERT INTO sched_nodes (host, state) VALUES (?, ?)")),
+      delete_node_(db.prepare("DELETE FROM sched_nodes WHERE host = ?")),
+      sim_(sim),
+      config_(std::move(config)),
+      rng_(config_.rng_seed) {
   Accounting::ensure_schema(db_);
   if (!db_.has_table("sched_jobs")) {
     db_.execute(
@@ -136,7 +153,7 @@ void Scheduler::load() {
     jobs_.emplace(job.id, std::move(job));
   }
   for (JobId id : stale) {
-    db_.execute(cat("DELETE FROM sched_jobs WHERE id = ", id));
+    db_.execute(*delete_job_, {id_value(id)});
     ++stats_.stale_rows_repaired;
   }
 
@@ -663,7 +680,7 @@ void Scheduler::finish(ActiveJob& job, JobState state, const std::string& reason
   // A crash here leaves both the accounting row and the live row; recovery
   // repairs by deleting the live row (load()), never by re-finishing.
   support::crash_point("sched.finish.between");
-  db_.execute(cat("DELETE FROM sched_jobs WHERE id = ", job.id));
+  db_.execute(*delete_job_, {id_value(job.id)});
   publish_job(job, state == JobState::kComplete ? "end" : "cancel");
   if (state == JobState::kComplete)
     ++stats_.completed;
@@ -677,54 +694,44 @@ void Scheduler::finish(ActiveJob& job, JobState state, const std::string& reason
 // --- persistence -------------------------------------------------------------
 
 void Scheduler::persist_submit_rows(const std::vector<const ActiveJob*>& jobs) {
-  // One multi-row INSERT per chunk: the 1M-job drill pays ~2k statement
-  // parses and WAL appends for its submissions instead of 1M.
+  // One statement per chunk (insert_rows runs the one-row INSERT per job):
+  // the 1M-job drill pays ~2k commits and WAL flushes for its submissions
+  // instead of 1M.
   constexpr std::size_t kChunk = 512;
+  std::vector<sqldb::Value> params;
   for (std::size_t base = 0; base < jobs.size(); base += kChunk) {
     const std::size_t end = std::min(jobs.size(), base + kChunk);
-    std::string sql =
-        "INSERT INTO sched_jobs (id, name, want, min_want, walltime, "
-        "max_retries, state, retries, submitted, started, deadline, "
-        "not_before, assigned) VALUES ";
-    sql.reserve(160 * (end - base));
+    params.clear();
+    params.reserve(8 * (end - base));
     for (std::size_t i = base; i < end; ++i) {
       const ActiveJob& job = *jobs[i];
-      if (i != base) sql += ", ";
-      sql += cat("(", job.id, ", ", sql_text(job.name), ", ", job.want, ", ",
-                 job.min_want, ", ", sql_real(job.walltime), ", ", job.max_retries,
-                 ", 'Q', ", job.retries, ", ", sql_real(job.submitted),
-                 ", -1.0, -1.0, 0.0, '')");
+      params.insert(params.end(),
+                    {id_value(job.id), job.name, static_cast<std::int64_t>(job.want),
+                     static_cast<std::int64_t>(job.min_want), job.walltime, job.max_retries,
+                     job.retries, job.submitted});
     }
-    db_.execute(sql);
+    db_.insert_rows(*submit_job_, params);
   }
 }
 
 void Scheduler::persist_start(const ActiveJob& job) {
-  db_.execute(cat("UPDATE sched_jobs SET state = 'R', started = ",
-                  sql_real(job.started), ", deadline = ", sql_real(job.deadline),
-                  ", assigned = ", sql_text(strings::join(job.assigned, " ")),
-                  " WHERE id = ", job.id));
+  db_.execute(*start_job_, {job.started, job.deadline, strings::join(job.assigned, " "),
+                            id_value(job.id)});
 }
 
 void Scheduler::persist_requeue(const ActiveJob& job) {
-  db_.execute(cat("UPDATE sched_jobs SET state = 'Q', retries = ", job.retries,
-                  ", not_before = ", sql_real(job.not_before),
-                  ", started = -1.0, deadline = -1.0, assigned = '' WHERE id = ",
-                  job.id));
+  db_.execute(*requeue_job_, {job.retries, job.not_before, id_value(job.id)});
 }
 
 void Scheduler::persist_node(const std::string& host, NodeLife life, bool existed) {
-  if (existed) {
-    db_.execute(cat("UPDATE sched_nodes SET state = ", sql_text(node_life_name(life)),
-                    " WHERE host = ", sql_text(host)));
-  } else {
-    db_.execute(cat("INSERT INTO sched_nodes (host, state) VALUES (", sql_text(host),
-                    ", ", sql_text(node_life_name(life)), ")"));
-  }
+  if (existed)
+    db_.execute(*update_node_, {node_life_name(life), host});
+  else
+    db_.execute(*insert_node_, {host, node_life_name(life)});
 }
 
 void Scheduler::persist_node_delete(const std::string& host) {
-  db_.execute(cat("DELETE FROM sched_nodes WHERE host = ", sql_text(host)));
+  db_.execute(*delete_node_, {host});
 }
 
 // --- driving -----------------------------------------------------------------

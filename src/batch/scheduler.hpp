@@ -301,6 +301,10 @@ class Scheduler {
   void publish_node(const std::string& host, std::string_view detail);
 
   sqldb::Database& db_;
+  // Every persistence statement is prepared once and executed with bound
+  // values.
+  sqldb::Database::PreparedStatement submit_job_, delete_job_, start_job_, requeue_job_,
+      update_node_, insert_node_, delete_node_;
   netsim::Simulator& sim_;
   SchedulerConfig config_;
   SchedulerHooks hooks_;

@@ -18,13 +18,17 @@ constexpr std::string_view kSelectBindings = "SELECT id, mac, name, ip FROM node
 
 void DhcpBindingPush::push(sqldb::Database& db, netsim::DhcpServer& dhcp, Ipv4 server_ip) {
   if (!db.has_table("nodes")) return;
+  if (!select_all_) {
+    select_all_ = db.prepare(kSelectBindings);
+    select_one_ = db.prepare(cat(kSelectBindings, " WHERE id = ?"));
+  }
   cursor_.catch_up(
       db,
       [&](sqldb::Database& db) {
         mac_of_.clear();
         holders_.clear();
         std::map<Mac, netsim::DhcpLease> bindings;
-        const auto rows = db.execute(kSelectBindings);
+        const auto rows = db.execute(*select_all_);
         for (std::size_t i = 0; i < rows.row_count(); ++i)
           if (const auto bound = hold(rows, i, server_ip))
             bindings.insert_or_assign((*bound)->first.first, (*bound)->second);
@@ -35,8 +39,7 @@ void DhcpBindingPush::push(sqldb::Database& db, netsim::DhcpServer& dhcp, Ipv4 s
         // change — the pk's old binding goes and its current row binds anew.
         release(dhcp, record.pk);
         if (record.op == sqldb::ChangeOp::kDelete) return true;
-        const auto rows =
-            view.execute(cat(kSelectBindings, " WHERE id = ", sqldb::sql_literal(record.pk)));
+        const auto rows = view.execute(*select_one_, {record.pk});
         for (std::size_t i = 0; i < rows.row_count(); ++i)
           if (const auto bound = hold(rows, i, server_ip))
             dhcp.add_binding((*bound)->first.first, (*bound)->second);
@@ -95,7 +98,7 @@ Frontend::Frontend(netsim::Simulator& sim, netsim::SyslogBus& syslog,
   // boot passes straight through: the schema guard is has_table, and the
   // frontend row is keyed by our MAC.
   kickstart::ensure_cluster_schema(db_);
-  if (db_.execute(cat("SELECT id FROM nodes WHERE mac = '", config_.mac.to_string(), "'"))
+  if (db_.execute("SELECT id FROM nodes WHERE mac = ?", {config_.mac.to_string()})
           .row_count() == 0) {
     kickstart::insert_node_row(db_, config_.mac.to_string(), config_.name, /*membership=*/1,
                                /*rack=*/0, /*rank=*/0, config_.ip.to_string(), "i386",
@@ -164,10 +167,14 @@ std::vector<std::string> Frontend::regenerate_services() {
 }
 
 void Frontend::add_user(std::string_view name, int uid, std::string_view shell) {
+  // The name becomes a path component of the home directory.
+  if (name.empty() || name.find('/') != std::string_view::npos ||
+      name.find('\0') != std::string_view::npos)
+    throw StateError(cat("add_user: '", name, "' is not a valid user name"));
   services::ensure_users_table(db_);
-  db_.execute(cat("INSERT INTO users VALUES ('", name, "', ", uid, ", '/export/home/", name,
-                  "', '", shell, "')"));
-  fs_.mkdir_p(cat("/export/home/", name));
+  const std::string home = cat("/export/home/", name);
+  db_.execute("INSERT INTO users VALUES (?, ?, ?, ?)", {name, uid, home, shell});
+  fs_.mkdir_p(home);
   // The INSERT marked nis/nfs dirty through the bus; flush renders just
   // those and pushes the fresh NIS map.
   flush_services();

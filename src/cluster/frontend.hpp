@@ -67,6 +67,8 @@ class DhcpBindingPush {
   void release(netsim::DhcpServer& dhcp, const sqldb::Value& pk);
 
   services::JournalCursor cursor_{"nodes"};
+  // The full scan and the per-pk re-fetch, prepared on the first push.
+  sqldb::Database::PreparedStatement select_all_, select_one_;
   /// pk -> the MAC its row holds (rows whose MAC and IP parse).
   std::unordered_map<sqldb::Value, Mac, sqldb::ValueHash, sqldb::ValueEqual> mac_of_;
   /// Every such row's lease, by MAC then id: a MAC's first entry is bound.
@@ -188,7 +190,9 @@ class Frontend {
   /// useradd: adds an account row and pushes the NIS maps ("User account
   /// configuration ... synchronized from the frontend node to compute nodes
   /// with the Network Information Service", Section 5). Home directories
-  /// live under the NFS-exported /export/home.
+  /// live under the NFS-exported /export/home. The name becomes a path
+  /// component, so an empty name or one holding '/' or NUL throws
+  /// StateError before anything is written.
   void add_user(std::string_view name, int uid, std::string_view shell = "/bin/bash");
 
   /// What a compute node's ypbind resolves: the current NIS passwd map.

@@ -7,9 +7,20 @@ namespace rocks::cluster {
 
 using strings::cat;
 
+namespace {
+
+constexpr std::string_view kSelectAllocation = "SELECT membership, rack, rank, ip FROM nodes";
+
+}  // namespace
+
 InsertEthers::InsertEthers(Frontend& frontend, netsim::SyslogBus& syslog,
                            InsertEthersOptions options)
-    : frontend_(frontend), syslog_(syslog), options_(std::move(options)) {}
+    : frontend_(frontend),
+      syslog_(syslog),
+      options_(std::move(options)),
+      name_by_mac_(frontend.db().prepare("SELECT name FROM nodes WHERE mac = ?")),
+      select_allocation_(frontend.db().prepare(kSelectAllocation)),
+      allocation_by_id_(frontend.db().prepare(cat(kSelectAllocation, " WHERE id = ?"))) {}
 
 InsertEthers::~InsertEthers() { stop(); }
 
@@ -31,12 +42,6 @@ void InsertEthers::set_membership(int membership, std::string basename) {
   options_.basename = std::move(basename);
 }
 
-namespace {
-
-constexpr std::string_view kSelectAllocation = "SELECT membership, rack, rank, ip FROM nodes";
-
-}  // namespace
-
 void InsertEthers::sync_allocator() {
   nodes_cursor_.catch_up(
       frontend_.db(), [this](sqldb::Database& db) { seed_allocator(db); },
@@ -44,8 +49,7 @@ void InsertEthers::sync_allocator() {
         // Inserts only add taken IPs and raise ranks; anything else may free
         // them, so it reseeds.
         if (record.op != sqldb::ChangeOp::kInsert) return false;
-        const auto rows = view.execute(
-            cat(kSelectAllocation, " WHERE id = ", sqldb::sql_literal(record.pk)));
+        const auto rows = view.execute(*allocation_by_id_, {record.pk});
         for (const sqldb::Row& row : rows.rows) take(row);
         return true;
       });
@@ -55,7 +59,7 @@ void InsertEthers::seed_allocator(sqldb::Database& db) {
   taken_ips_.clear();
   top_rank_.clear();
   ip_cursor_ = options_.ip_ceiling;
-  for (const sqldb::Row& row : db.execute(kSelectAllocation).rows) take(row);
+  for (const sqldb::Row& row : db.execute(*select_allocation_).rows) take(row);
 }
 
 void InsertEthers::take(const sqldb::Row& row) {
@@ -88,8 +92,7 @@ int InsertEthers::next_rank() const {
 
 bool InsertEthers::insert_node(const Mac& mac) {
   // Already known? (Several retries can race one insertion.)
-  const auto existing = frontend_.db().execute(
-      cat("SELECT name FROM nodes WHERE mac = '", mac.to_string(), "'"));
+  const auto existing = frontend_.db().execute(*name_by_mac_, {mac.to_string()});
   if (existing.row_count() != 0) return false;
 
   sync_allocator();

@@ -98,6 +98,8 @@ class InsertEthers {
   std::vector<std::string> log_;
 
   services::JournalCursor nodes_cursor_{"nodes"};
+  // The lookups insert_node runs per node, prepared once.
+  sqldb::Database::PreparedStatement name_by_mac_, select_allocation_, allocation_by_id_;
   /// Every address in (ip_cursor_, ceiling] is taken; below it, the
   /// addresses some row holds as canonical dotted-quad text.
   Ipv4 ip_cursor_;

@@ -7,25 +7,12 @@
 
 namespace rocks::events {
 
-using sqldb::sql_real;
-using sqldb::sql_text;
-
 namespace {
 
 // The trigger table's own journal channel. Accounting UPDATEs republish on
 // this channel through the bus bridge; the engine must never match those or
 // every firing would seed the next.
 constexpr std::string_view kTableChannel = "triggers";
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const char x = a[i] >= 'A' && a[i] <= 'Z' ? static_cast<char>(a[i] + 32) : a[i];
-    const char y = b[i] >= 'A' && b[i] <= 'Z' ? static_cast<char>(b[i] + 32) : b[i];
-    if (x != y) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -39,7 +26,17 @@ void TriggerEngine::ensure_trigger_schema(sqldb::Database& db) {
       "fired INT, suppressed INT, last_fired REAL)");
 }
 
-TriggerEngine::TriggerEngine(sqldb::Database& db, EventBus& bus) : db_(db), bus_(bus) {
+TriggerEngine::TriggerEngine(sqldb::Database& db, EventBus& bus)
+    : db_(db),
+      insert_(db.prepare(
+          "INSERT INTO triggers (name, event, subject, detail, threshold, action, "
+          "arg, rate_limit, fired, suppressed, last_fired) "
+          "VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0, 0, -1.0)")),
+      id_by_name_(db.prepare("SELECT id FROM triggers WHERE name = ?")),
+      delete_(db.prepare("DELETE FROM triggers WHERE id = ?")),
+      record_firing_(db.prepare(
+          "UPDATE triggers SET fired = ?, suppressed = ?, last_fired = ? WHERE id = ?")),
+      bus_(bus) {
   ensure_trigger_schema(db_);
   load();
   // The loud default: a firing whose action is the built-in "alert" (or has
@@ -96,15 +93,10 @@ std::int64_t TriggerEngine::add(const TriggerSpec& spec) {
   for (const Armed& armed : triggers_)
     require_state(armed.spec.name != spec.name,
                   strings::cat("trigger '", spec.name, "' already registered"));
-  db_.execute(strings::cat(
-      "INSERT INTO triggers (name, event, subject, detail, threshold, action, "
-      "arg, rate_limit, fired, suppressed, last_fired) VALUES (",
-      sql_text(spec.name), ", ", sql_text(event_type_name(spec.event)), ", ",
-      sql_text(spec.subject), ", ", sql_text(spec.detail), ", ",
-      sql_real(spec.threshold), ", ", sql_text(spec.action), ", ", sql_text(spec.arg),
-      ", ", sql_real(spec.rate_limit), ", 0, 0, -1.0)"));
-  const sqldb::ResultSet row =
-      db_.execute(strings::cat("SELECT id FROM triggers WHERE name = ", sql_text(spec.name)));
+  db_.execute(*insert_,
+              {spec.name, event_type_name(spec.event), spec.subject, spec.detail,
+               spec.threshold, spec.action, spec.arg, spec.rate_limit});
+  const sqldb::ResultSet row = db_.execute(*id_by_name_, {spec.name});
   require_state(row.row_count() == 1, "trigger insert did not land");
   Armed armed;
   armed.id = row.at(0, "id").as_int();
@@ -118,7 +110,7 @@ void TriggerEngine::remove(std::string_view name) {
   const auto it = std::find_if(triggers_.begin(), triggers_.end(),
                                [&](const Armed& t) { return t.spec.name == name; });
   if (it == triggers_.end()) return;
-  db_.execute(strings::cat("DELETE FROM triggers WHERE id = ", it->id));
+  db_.execute(*delete_, {it->id});
   triggers_.erase(it);
 }
 
@@ -132,10 +124,9 @@ std::vector<TriggerStatus> TriggerEngine::list() const {
 }
 
 void TriggerEngine::persist_accounting(const Armed& trigger) {
-  db_.execute(strings::cat("UPDATE triggers SET fired = ", trigger.fired,
-                           ", suppressed = ", trigger.suppressed,
-                           ", last_fired = ", sql_real(trigger.last_fired),
-                           " WHERE id = ", trigger.id));
+  db_.execute(*record_firing_, {static_cast<std::int64_t>(trigger.fired),
+                                static_cast<std::int64_t>(trigger.suppressed),
+                                trigger.last_fired, trigger.id});
 }
 
 void TriggerEngine::match_locked(const Event& event, std::vector<PendingAction>& out) {
@@ -169,7 +160,7 @@ void TriggerEngine::on_event(const Event& event) {
   // Never match our own exhaust: trigger firings, and config changes on the
   // trigger table itself (accounting UPDATEs ride the journal bridge).
   if (event.type == EventType::kTrigger) return;
-  if (event.type == EventType::kConfigChange && iequals(event.subject, kTableChannel)) return;
+  if (event.type == EventType::kConfigChange && strings::iequals(event.subject, kTableChannel)) return;
 
   std::unique_lock lock(mutex_);
   queue_.push_back(event);

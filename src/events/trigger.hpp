@@ -135,6 +135,9 @@ class TriggerEngine {
   void load();
 
   sqldb::Database& db_;
+  // The trigger table's statements, prepared once and executed with bound
+  // values: a spec's text reaches the table verbatim, whatever it holds.
+  sqldb::Database::PreparedStatement insert_, id_by_name_, delete_, record_firing_;
   EventBus& bus_;
   std::size_t subscription_ = 0;
 

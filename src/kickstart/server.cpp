@@ -5,8 +5,6 @@
 
 namespace rocks::kickstart {
 
-using sqldb::sql_text;
-
 void ensure_cluster_schema(sqldb::Database& db) {
   if (db.has_table("nodes")) return;
   db.execute(
@@ -48,16 +46,20 @@ void ensure_cluster_schema(sqldb::Database& db) {
 void insert_node_row(sqldb::Database& db, std::string_view mac, std::string_view name,
                      int membership, int rack, int rank, std::string_view ip,
                      std::string_view arch, std::string_view comment) {
-  db.execute(strings::cat(
-      "INSERT INTO nodes (mac, name, membership, rack, rank, ip, arch, comment) VALUES (",
-      sql_text(mac), ", ", sql_text(name), ", ", membership, ", ", rack, ", ", rank, ", ",
-      sql_text(ip), ", ", sql_text(arch), ", ", sql_text(comment), ")"));
+  db.execute(
+      "INSERT INTO nodes (mac, name, membership, rack, rank, ip, arch, comment) "
+      "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+      {mac, name, membership, rack, rank, ip, arch, comment});
 }
 
 KickstartServer::KickstartServer(sqldb::Database& db, const NodeFileSet& files,
                                  const Graph& graph, Ipv4 frontend_ip,
                                  std::string distribution_url, const rpm::Repository* distro)
     : db_(db),
+      node_by_ip_(db.prepare("SELECT name, membership, arch FROM nodes WHERE ip = ?")),
+      appliance_of_(db.prepare(
+          "SELECT appliances.graph_root FROM appliances, memberships WHERE "
+          "memberships.appliance = appliances.id AND memberships.id = ?")),
       generator_(files, graph, distro, &db.journal()),
       frontend_ip_(frontend_ip),
       distribution_url_(std::move(distribution_url)) {}
@@ -67,26 +69,23 @@ NodeConfig KickstartServer::resolve(Ipv4 requester) const {
   // resolve against the same committed state, so a concurrent re-membership
   // (or insert-ethers burst) can never make the two queries disagree.
   sqldb::ReadView view = db_.read_view();
-  const auto node = view.execute(strings::cat(
-      "SELECT name, membership, arch FROM nodes WHERE ip = '", requester.to_string(), "'"));
-  require_found(node.row_count() == 1,
-                strings::cat("kickstart request from unknown address ", requester.to_string()));
+  const auto node = view.execute(*node_by_ip_, {requester.to_string()});
+  if (node.row_count() != 1)
+    throw LookupError(
+        strings::cat("kickstart request from unknown address ", requester.to_string()));
 
-  // SELECT order is name, membership, arch — positional access avoids
-  // rebuilding the name->index map for this two-query hot path.
+  // SELECT order is name, membership, arch.
   const sqldb::Value& name = node.at(0, 0);
   const sqldb::Value& membership = node.at(0, 1);
   const sqldb::Value& arch = node.at(0, 2);
-  const auto appliance = view.execute(strings::cat(
-      "SELECT appliances.graph_root FROM appliances, memberships WHERE "
-      "memberships.appliance = appliances.id AND memberships.id = ",
-      membership.to_string()));
-  require_found(appliance.row_count() == 1,
-                strings::cat("node ", name.to_string(), " has membership with no appliance"));
+  const auto appliance = view.execute(*appliance_of_, {membership});
+  if (appliance.row_count() != 1)
+    throw LookupError(
+        strings::cat("node ", name.to_string(), " has membership with no appliance"));
   const std::string graph_root = appliance.rows[0][0].to_string();
-  require_found(!graph_root.empty(),
-                strings::cat("appliance for ", name.to_string(),
-                             " is not kickstartable (no graph root)"));
+  if (graph_root.empty())
+    throw LookupError(strings::cat("appliance for ", name.to_string(),
+                                   " is not kickstartable (no graph root)"));
 
   NodeConfig config;
   config.hostname = name.to_string();

@@ -30,8 +30,8 @@ namespace rocks::kickstart {
 void ensure_cluster_schema(sqldb::Database& db);
 
 /// Convenience: inserts one row into nodes (mac/name/membership/rack/rank/
-/// ip/arch/comment), returning nothing; reads happen through SQL. Text
-/// fields are quoted with sqldb::sql_text, so they read back verbatim.
+/// ip/arch/comment), returning nothing; reads happen through SQL. Every
+/// field is a bound value, so text reads back verbatim whatever it holds.
 void insert_node_row(sqldb::Database& db, std::string_view mac, std::string_view name,
                      int membership, int rack, int rank, std::string_view ip,
                      std::string_view arch = "i386", std::string_view comment = "");
@@ -91,6 +91,10 @@ class KickstartServer {
 
  private:
   sqldb::Database& db_;
+  // The two resolve queries, prepared once: a request binds its IP and the
+  // node's membership and parses nothing.
+  sqldb::Database::PreparedStatement node_by_ip_;
+  sqldb::Database::PreparedStatement appliance_of_;
   Generator generator_;
   Ipv4 frontend_ip_;
   std::string distribution_url_;

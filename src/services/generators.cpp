@@ -120,9 +120,7 @@ IncrementalReport::Spec hosts_report_spec() {
   spec.header = kHostsHeader;
   spec.table = "nodes";
   spec.select_all = "SELECT id, ip, name FROM nodes ORDER BY id";
-  spec.select_one = [](const sqldb::Value& pk) {
-    return cat("SELECT id, ip, name FROM nodes WHERE id = ", sqldb::sql_literal(pk));
-  };
+  spec.select_one = "SELECT id, ip, name FROM nodes WHERE id = ?";
   // ORDER BY id: the PK is the whole sort key.
   spec.key_of = [](const sqldb::ResultSet& rows, std::size_t i) {
     return sqldb::Row{rows.at(i, 0)};
@@ -138,9 +136,7 @@ IncrementalReport::Spec dhcpd_report_spec(Ipv4 frontend_ip) {
   spec.header = dhcpd_header(frontend_ip);
   spec.table = "nodes";
   spec.select_all = "SELECT id, name, mac, ip FROM nodes ORDER BY id";
-  spec.select_one = [](const sqldb::Value& pk) {
-    return cat("SELECT id, name, mac, ip FROM nodes WHERE id = ", sqldb::sql_literal(pk));
-  };
+  spec.select_one = "SELECT id, name, mac, ip FROM nodes WHERE id = ?";
   spec.key_of = [](const sqldb::ResultSet& rows, std::size_t i) {
     return sqldb::Row{rows.at(i, 0)};
   };
@@ -162,12 +158,10 @@ IncrementalReport::Spec pbs_nodes_report_spec(int np) {
       "SELECT nodes.rack, nodes.rank, nodes.id, nodes.name FROM nodes, memberships "
       "WHERE nodes.membership = memberships.id AND memberships.compute = 'yes' "
       "ORDER BY nodes.rack, nodes.rank";
-  spec.select_one = [](const sqldb::Value& pk) {
-    return cat(
-        "SELECT nodes.rack, nodes.rank, nodes.id, nodes.name FROM nodes, memberships "
-        "WHERE nodes.membership = memberships.id AND memberships.compute = 'yes' "
-        "AND nodes.id = ", sqldb::sql_literal(pk));
-  };
+  spec.select_one =
+      "SELECT nodes.rack, nodes.rank, nodes.id, nodes.name FROM nodes, memberships "
+      "WHERE nodes.membership = memberships.id AND memberships.compute = 'yes' "
+      "AND nodes.id = ?";
   // ORDER BY rack, rank is a stable sort over id-ordered input, so (rack,
   // rank, id) reproduces the full query's emission order exactly.
   spec.key_of = [](const sqldb::ResultSet& rows, std::size_t i) {

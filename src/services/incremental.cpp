@@ -59,6 +59,10 @@ std::size_t JournalCursor::catch_up(sqldb::Database& db, const Rebuild& rebuild,
 }
 
 std::string IncrementalReport::render(sqldb::Database& db) {
+  if (!select_all_) {
+    select_all_ = db.prepare(spec_.select_all);
+    select_one_ = db.prepare(spec_.select_one);
+  }
   const std::size_t applied = cursor_.catch_up(
       db, [this](sqldb::Database& db) { rebuild(db); },
       [this](sqldb::ReadView& view, const sqldb::ChangeRecord& record) {
@@ -77,7 +81,7 @@ std::string IncrementalReport::render(sqldb::Database& db) {
 void IncrementalReport::rebuild(sqldb::Database& db) {
   lines_.clear();
   key_by_pk_.clear();
-  const sqldb::ResultSet rows = db.execute(spec_.select_all);
+  const sqldb::ResultSet rows = db.execute(*select_all_);
   for (std::size_t i = 0; i < rows.row_count(); ++i) {
     sqldb::Row key = spec_.key_of(rows, i);
     // The key's tie-break column is the PK (unique), so collisions cannot
@@ -95,7 +99,7 @@ void IncrementalReport::apply_one(sqldb::ReadView& view, const sqldb::ChangeReco
   }
   // Insert or update: re-fetch the row's state as of the pinned view. A
   // stale record (row since deleted, or filtered out) yields zero rows.
-  const sqldb::ResultSet rows = view.execute(spec_.select_one(record.pk));
+  const sqldb::ResultSet rows = view.execute(*select_one_, {record.pk});
   if (rows.row_count() == 0) {
     erase_pk(record.pk);
     return;

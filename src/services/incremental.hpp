@@ -85,9 +85,10 @@ class IncrementalReport {
     std::vector<std::string> rescan_tables;
     /// Full query; must ORDER BY the same key `key_of` extracts.
     std::string select_all;
-    /// SQL selecting the same columns as select_all for one primary key;
-    /// zero result rows mean "this row renders no line" (filtered out).
-    std::function<std::string(const sqldb::Value& pk)> select_one;
+    /// SQL selecting the same columns as select_all for the primary key
+    /// bound to its one `?`; zero result rows mean "this row renders no
+    /// line" (filtered out).
+    std::string select_one;
     /// Sort key of a result row, including a unique tie-break column (the
     /// PK) so the map order reproduces the full query's ORDER BY exactly.
     std::function<sqldb::Row(const sqldb::ResultSet&, std::size_t)> key_of;
@@ -120,6 +121,8 @@ class IncrementalReport {
 
   JournalCursor cursor_;
   Spec spec_;
+  // Both queries, prepared on the first render and held after.
+  sqldb::Database::PreparedStatement select_all_, select_one_;
 
   std::map<sqldb::Row, std::string, SortKeyLess> lines_;  // sort key -> line
   std::unordered_map<sqldb::Value, sqldb::Row, sqldb::ValueHash, sqldb::ValueEqual>

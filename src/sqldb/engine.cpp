@@ -5,7 +5,9 @@
 #include <cctype>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -35,9 +37,19 @@ struct Database::Durability {
   std::uint64_t next_snapshot_seq = 1;
 };
 
+namespace {
+
+/// Process-wide catalog numbering: a binding names its catalog by id, and
+/// ids are never reused, even across Database instances.
+std::atomic<std::uint64_t> next_catalog_id{1};
+
+}  // namespace
+
 Database::Database() {
   // Publish the empty catalog so readers never observe a null pointer.
-  catalog_storage_.push_back(std::make_unique<Catalog>());
+  auto empty = std::make_unique<Catalog>();
+  empty->id = next_catalog_id.fetch_add(1, std::memory_order_relaxed);
+  catalog_storage_.push_back(std::move(empty));
   catalog_.store(catalog_storage_.back().get(), std::memory_order_relaxed);
 }
 Database::~Database() = default;
@@ -61,95 +73,56 @@ Lock timed_lock(Mutex& mutex, std::atomic<std::uint64_t>& acquisitions,
   return lock;
 }
 
-/// Evaluation context with no columns in scope (INSERT value lists).
-class EmptyContext final : public RowContext {
- public:
-  [[nodiscard]] Value lookup(const std::string& table, const std::string& column) const override {
-    throw LookupError(strings::cat("no column '", table.empty() ? column : table + "." + column,
-                                   "' in scope here"));
-  }
-};
+/// Rejects an execute whose values do not match the statement's `?`
+/// placeholders, before anything runs.
+void require_params(const Prepared& prepared, std::span<const Value> params) {
+  if (params.size() != prepared.param_count())
+    throw StateError(strings::cat("statement takes ", prepared.param_count(),
+                                  " parameter(s), got ", params.size()));
+}
 
-/// Context over one row of one table (UPDATE/DELETE WHERE clauses).
-/// Constructed once per statement; set_row() switches rows so the
-/// address-keyed resolution cache (see JoinContext) survives across them.
-class SingleTableContext final : public RowContext {
- public:
-  explicit SingleTableContext(const Table& table) : table_(table) {}
+// --- binding: names resolved to positions once per catalog -------------------
 
-  void set_row(const Row* row) { row_ = row; }
-
-  [[nodiscard]] Value lookup(const std::string& table, const std::string& column) const override {
-    const auto cached = resolved_.find(&column);
-    if (cached != resolved_.end()) return (*row_)[cached->second];
-    if (!table.empty() && strings::to_lower(table) != strings::to_lower(table_.name()))
-      throw LookupError(strings::cat("unknown table '", table, "' in expression"));
-    const auto index = table_.column_index(column);
-    if (!index) throw LookupError(strings::cat("unknown column '", column, "'"));
-    resolved_.emplace(&column, *index);
-    return (*row_)[*index];
-  }
-
- private:
-  const Table& table_;
-  const Row* row_ = nullptr;
-  // Keyed on the address of the Expr node's column string: stable for the
-  // statement's lifetime and unique per reference site.
-  mutable std::unordered_map<const std::string*, std::size_t> resolved_;
-};
-
-/// Context over the cartesian combination of several FROM tables.
-class JoinContext final : public RowContext {
- public:
-  JoinContext(const std::vector<const Table*>& tables, const std::vector<std::string>& aliases)
-      : tables_(tables), aliases_(aliases), rows_(tables.size(), nullptr) {}
-
-  void set_row(std::size_t table_idx, const Row* row) { rows_[table_idx] = row; }
-
-  [[nodiscard]] Value lookup(const std::string& table, const std::string& column) const override {
-    // A column reference resolves identically for every row of a query, and
-    // lookup() receives the same Expr-owned strings each time — so resolve
-    // once per reference site, keyed on the column string's address. The
-    // up-front validation pass fills this cache, making per-row lookups a
-    // single pointer-hash probe.
-    const auto cached = resolved_.find(&column);
-    if (cached != resolved_.end())
-      return (*rows_[cached->second.first])[cached->second.second];
-
-    if (!table.empty()) {
-      const std::string lowered = strings::to_lower(table);
-      for (std::size_t i = 0; i < tables_.size(); ++i) {
-        if (strings::to_lower(aliases_[i]) == lowered) {
-          const auto index = tables_[i]->column_index(column);
-          if (!index)
-            throw LookupError(strings::cat("unknown column '", table, ".", column, "'"));
-          resolved_.emplace(&column, std::make_pair(i, *index));
-          return (*rows_[i])[*index];
-        }
-      }
-      throw LookupError(strings::cat("unknown table '", table, "' in expression"));
+/// Resolves a column reference against the statement's tables the way SQL
+/// scopes names: a qualified name takes the first table whose alias
+/// matches; an unqualified one must name a column of exactly one table.
+ColumnSlot resolve_column(const Expr& column, std::span<const Table* const> tables,
+                          std::span<const std::string_view> aliases) {
+  const std::string& qualifier = column.column_table();
+  const std::string& name = column.column_name();
+  if (!qualifier.empty()) {
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+      if (!strings::iequals(aliases[i], qualifier)) continue;
+      const auto index = tables[i]->column_index(name);
+      if (!index) throw LookupError(strings::cat("unknown column '", qualifier, ".", name, "'"));
+      return {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(*index)};
     }
-    // Unqualified: must be unique across all tables in scope.
-    std::optional<std::pair<std::size_t, std::size_t>> found;
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-      const auto index = tables_[i]->column_index(column);
-      if (index) {
-        if (found)
-          throw LookupError(strings::cat("ambiguous column '", column, "'"));
-        found = std::make_pair(i, *index);
-      }
-    }
-    if (!found) throw LookupError(strings::cat("unknown column '", column, "'"));
-    resolved_.emplace(&column, *found);
-    return (*rows_[found->first])[found->second];
+    throw LookupError(strings::cat("unknown table '", qualifier, "' in expression"));
   }
+  std::optional<ColumnSlot> found;
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    const auto index = tables[i]->column_index(name);
+    if (!index) continue;
+    if (found) throw LookupError(strings::cat("ambiguous column '", name, "'"));
+    found = ColumnSlot{static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(*index)};
+  }
+  if (!found) throw LookupError(strings::cat("unknown column '", name, "'"));
+  return *found;
+}
 
- private:
-  const std::vector<const Table*>& tables_;
-  const std::vector<std::string>& aliases_;
-  std::vector<const Row*> rows_;
-  mutable std::unordered_map<const std::string*, std::pair<std::size_t, std::size_t>> resolved_;
-};
+/// Binds every column reference in `expr` into `slots` (by reference
+/// number). Throws LookupError for a name the tables do not have.
+void bind_columns(const Expr* expr, std::span<const Table* const> tables,
+                  std::span<const std::string_view> aliases, std::vector<ColumnSlot>& slots) {
+  if (expr == nullptr) return;
+  if (expr->kind() == Expr::Kind::kColumn) {
+    slots[expr->column_ref()] = resolve_column(*expr, tables, aliases);
+    return;
+  }
+  bind_columns(expr->lhs(), tables, aliases, slots);
+  bind_columns(expr->rhs(), tables, aliases, slots);
+  for (const ExprPtr& item : expr->list()) bind_columns(item.get(), tables, aliases, slots);
+}
 
 // --- query planner helpers --------------------------------------------------
 
@@ -164,73 +137,154 @@ void collect_conjuncts(const Expr* expr, std::vector<const Expr*>& out) {
   out.push_back(expr);
 }
 
-/// The column/literal sides of a `col = literal` (or `literal = col`)
-/// conjunct; nullopt when the conjunct has any other shape.
-struct EqColumnLiteral {
+/// The column and value of a `col = literal` or `col = ?` conjunct (either
+/// side first); nullopt when the conjunct has any other shape.
+struct EqColumnConstant {
   const Expr* column = nullptr;
-  const Expr* literal = nullptr;
+  const Value* value = nullptr;
 };
-std::optional<EqColumnLiteral> match_eq_column_literal(const Expr* expr) {
+std::optional<EqColumnConstant> match_eq_column_constant(const Expr* expr,
+                                                         std::span<const Value> params) {
   if (expr->kind() != Expr::Kind::kBinary || expr->binary_op() != BinaryOp::kEq)
     return std::nullopt;
   const Expr* l = expr->lhs();
   const Expr* r = expr->rhs();
-  if (l->kind() == Expr::Kind::kColumn && r->kind() == Expr::Kind::kLiteral)
-    return EqColumnLiteral{l, r};
-  if (r->kind() == Expr::Kind::kColumn && l->kind() == Expr::Kind::kLiteral)
-    return EqColumnLiteral{r, l};
+  if (l->kind() == Expr::Kind::kColumn)
+    if (const Value* value = r->constant(params)) return EqColumnConstant{l, value};
+  if (r->kind() == Expr::Kind::kColumn)
+    if (const Value* value = l->constant(params)) return EqColumnConstant{r, value};
   return std::nullopt;
 }
 
-/// Resolves a column expression to (FROM-table position, column position).
-/// nullopt when the reference doesn't resolve cleanly to exactly one table
-/// (the evaluator's own validation throws for genuinely bad names).
-std::optional<std::pair<std::size_t, std::size_t>> resolve_column(
-    const Expr* column, const std::vector<const Table*>& tables,
-    const std::vector<std::string>& aliases) {
-  if (!column->column_table().empty()) {
-    const std::string lowered = strings::to_lower(column->column_table());
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      if (strings::to_lower(aliases[i]) != lowered) continue;
-      const auto col = tables[i]->column_index(column->column_name());
-      if (!col) return std::nullopt;
-      return std::make_pair(i, *col);
+}  // namespace
+
+/// One prepared statement bound to one catalog: every name it uses,
+/// resolved to a position. Immutable once published.
+struct Binding {
+  std::uint64_t catalog_id = 0;
+  std::vector<const Table*> tables;  // the FROM tables, or a write's target
+  std::vector<ColumnSlot> columns;   // by Expr::column_ref()
+  /// A SELECT output column: `expr` evaluated, or (no expr) the cell at
+  /// `slot` copied — plain columns and `*` expansion.
+  struct Output {
+    const Expr* expr = nullptr;
+    ColumnSlot slot;
+  };
+  std::vector<Output> outputs;
+  std::vector<std::string> names;      // SELECT output headers
+  std::vector<const Expr*> conjuncts;  // WHERE's top-level AND chain
+  std::vector<std::size_t> targets;    // INSERT: column per value; UPDATE: per assignment
+};
+
+Prepared::Prepared(ParsedStatement parsed) : parsed_(std::move(parsed)) {}
+Prepared::~Prepared() = default;
+
+namespace {
+
+std::unique_ptr<const Binding> bind_select(const SelectStmt& stmt, std::size_t column_refs,
+                                           std::uint64_t catalog_id,
+                                           std::vector<const Table*> tables) {
+  auto binding = std::make_unique<Binding>();
+  binding->catalog_id = catalog_id;
+  binding->tables = std::move(tables);
+  binding->columns.resize(column_refs);
+  const std::span<const Table* const> from(binding->tables);
+  std::vector<std::string_view> aliases;
+  for (const TableRef& ref : stmt.from) aliases.push_back(ref.alias);
+  for (const SelectItem& item : stmt.items) {
+    if (!item.star) {
+      bind_columns(item.expr.get(), from, aliases, binding->columns);
+      Binding::Output out{item.expr.get(), {}};
+      if (item.expr->kind() == Expr::Kind::kColumn)
+        out = {nullptr, binding->columns[item.expr->column_ref()]};
+      binding->outputs.push_back(out);
+      binding->names.push_back(!item.alias.empty() ? item.alias : item.expr->display_name());
+      continue;
     }
-    return std::nullopt;
+    bool matched = false;
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      if (!item.star_table.empty() && !strings::iequals(item.star_table, aliases[i])) continue;
+      matched = true;
+      const std::vector<ColumnDef>& columns = from[i]->columns();
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        binding->outputs.push_back(
+            {nullptr, {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(c)}});
+        binding->names.push_back(from.size() > 1 ? strings::cat(aliases[i], ".", columns[c].name)
+                                                 : columns[c].name);
+      }
+    }
+    if (!matched)
+      throw LookupError(strings::cat("unknown table '", item.star_table, "' in select list"));
   }
-  std::optional<std::pair<std::size_t, std::size_t>> found;
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    const auto col = tables[i]->column_index(column->column_name());
-    if (!col) continue;
-    if (found) return std::nullopt;  // ambiguous
-    found = std::make_pair(i, *col);
+  bind_columns(stmt.where.get(), from, aliases, binding->columns);
+  for (const OrderKey& key : stmt.order_by)
+    bind_columns(key.expr.get(), from, aliases, binding->columns);
+  collect_conjuncts(stmt.where.get(), binding->conjuncts);
+  return binding;
+}
+
+/// Binds an INSERT, UPDATE or DELETE to its target table. An INSERT's
+/// VALUES see no table, so a column reference there names nothing.
+std::unique_ptr<const Binding> bind_write(const Statement& statement, std::size_t column_refs,
+                                          std::uint64_t catalog_id, const Table& target) {
+  auto binding = std::make_unique<Binding>();
+  binding->catalog_id = catalog_id;
+  binding->tables = {&target};
+  binding->columns.resize(column_refs);
+  const std::span<const Table* const> self(binding->tables);
+  const std::string_view alias[] = {target.name()};
+  const auto column_of = [&target](const std::string& name, std::string_view clause) {
+    const auto index = target.column_index(name);
+    if (!index) throw LookupError(strings::cat("unknown column '", name, "' in ", clause));
+    return *index;
+  };
+  const Expr* where = nullptr;
+  if (const auto* insert = std::get_if<InsertStmt>(&statement)) {
+    for (const std::string& name : insert->columns)
+      binding->targets.push_back(column_of(name, "INSERT"));
+    if (insert->columns.empty())
+      for (std::size_t i = 0; i < target.columns().size(); ++i) binding->targets.push_back(i);
+    for (const std::vector<ExprPtr>& exprs : insert->rows) {
+      if (exprs.size() != binding->targets.size())
+        throw StateError(insert->columns.empty()
+                             ? strings::cat("INSERT into ", insert->table, ": expected ",
+                                            binding->targets.size(), " values, got ",
+                                            exprs.size())
+                             : strings::cat("INSERT into ", insert->table,
+                                            ": column/value count mismatch"));
+      for (const ExprPtr& expr : exprs) bind_columns(expr.get(), {}, {}, binding->columns);
+    }
+  } else if (const auto* update = std::get_if<UpdateStmt>(&statement)) {
+    for (const auto& [name, expr] : update->assignments) {
+      binding->targets.push_back(column_of(name, "UPDATE"));
+      bind_columns(expr.get(), self, alias, binding->columns);
+    }
+    where = update->where.get();
+  } else {
+    where = std::get<DeleteStmt>(statement).where.get();
   }
-  return found;
+  bind_columns(where, self, alias, binding->columns);
+  collect_conjuncts(where, binding->conjuncts);
+  return binding;
 }
 
 /// UPDATE/DELETE share SELECT's plan 1: when one WHERE conjunct is an
-/// indexed `col = literal`, probe the writer-side index for candidate
-/// positions instead of scanning every live row. Fills `positions`
-/// (ascending — the scan's visit order) and `residual` (the conjuncts the
-/// probe did not consume) and returns true when a probe applies. Point
-/// mutations against a big live set — the batch scheduler's one-row
-/// transition per job while thousands of rows stay live — go from O(live)
-/// to O(hits) per statement.
-bool plan_write_probe(const Table& target, const Expr* where,
-                      std::vector<std::size_t>& positions,
-                      std::vector<const Expr*>& residual) {
-  if (where == nullptr) return false;
-  std::vector<const Expr*> conjuncts;
-  collect_conjuncts(where, conjuncts);
-  const std::vector<const Table*> tables{&target};
-  const std::vector<std::string> aliases{target.name()};
-  for (const Expr* conjunct : conjuncts) {
-    const auto eq = match_eq_column_literal(conjunct);
+/// indexed `col = literal` or `col = ?`, probe the writer-side index for
+/// candidate positions instead of scanning every live row. Fills
+/// `positions` (ascending — the scan's visit order) and `residual` (the
+/// conjuncts the probe did not consume) and returns true when a probe
+/// applies. Point mutations against a big live set — the batch scheduler's
+/// one-row transition per job while thousands of rows stay live — go from
+/// O(live) to O(hits) per statement.
+bool plan_write_probe(const Table& target, const Binding& binding, std::span<const Value> params,
+                      std::vector<std::size_t>& positions, std::vector<const Expr*>& residual) {
+  for (const Expr* conjunct : binding.conjuncts) {
+    const auto eq = match_eq_column_constant(conjunct, params);
     if (!eq) continue;
-    const auto resolved = resolve_column(eq->column, tables, aliases);
-    if (!resolved || !target.has_index_on(resolved->second)) continue;
-    positions = target.probe_positions(resolved->second, eq->literal->literal_value());
-    for (const Expr* other : conjuncts)
+    const std::size_t column = binding.columns[eq->column->column_ref()].column;
+    if (!target.has_index_on(column)) continue;
+    positions = target.probe_positions(column, *eq->value);
+    for (const Expr* other : binding.conjuncts)
       if (other != conjunct) residual.push_back(other);
     return true;
   }
@@ -238,17 +292,16 @@ bool plan_write_probe(const Table& target, const Expr* where,
 }
 
 /// UPDATE and DELETE's row selection: calls `on_match(position)` for each
-/// live row WHERE accepts, ascending, with `ctx` (the statement's one
-/// evaluation context, so its column-resolution cache persists) set on
-/// that row. Rows come from plan_write_probe when `planner` allows and a
-/// probe applies, else from a scan of every live row.
+/// live row WHERE accepts, ascending, with `current` (the row `ctx` reads)
+/// set to that row. Rows come from plan_write_probe when `planner` allows
+/// and a probe applies, else from a scan of every live row.
 template <typename OnMatch>
-void for_each_matching_row(const Table& target, const Expr* where, SingleTableContext& ctx,
-                           bool planner, std::atomic<std::uint64_t>& index_probes,
-                           OnMatch on_match) {
+void for_each_matching_row(const Table& target, const Expr* where, const Binding& binding,
+                           const EvalContext& ctx, const Row*& current, bool planner,
+                           std::atomic<std::uint64_t>& index_probes, OnMatch on_match) {
   std::vector<std::size_t> probe;
   std::vector<const Expr*> residual;
-  const bool probed = planner && plan_write_probe(target, where, probe, residual);
+  const bool probed = planner && plan_write_probe(target, binding, ctx.params, probe, residual);
   if (probed)
     index_probes.fetch_add(1, std::memory_order_relaxed);
   else if (where != nullptr)
@@ -256,7 +309,7 @@ void for_each_matching_row(const Table& target, const Expr* where, SingleTableCo
   const std::size_t candidates = probed ? probe.size() : target.live_size();
   for (std::size_t c = 0; c < candidates; ++c) {
     const std::size_t position = probed ? probe[c] : c;
-    ctx.set_row(&target.live_row(position));
+    current = &target.live_row(position);
     const bool pass = std::all_of(residual.begin(), residual.end(), [&](const Expr* conjunct) {
       const Value keep = conjunct->evaluate(ctx);
       return !keep.is_null() && keep.truthy();
@@ -298,17 +351,11 @@ struct CapturedTable {
 }  // namespace
 
 std::size_t ResultSet::column_index(std::string_view name) const {
-  if (column_cache_.empty() && !columns.empty()) {
-    column_cache_.reserve(columns.size());
-    // try_emplace keeps the first occurrence of a duplicated header, matching
-    // the first-match behaviour of the old linear scan.
-    for (std::size_t i = 0; i < columns.size(); ++i)
-      column_cache_.try_emplace(strings::to_lower(columns[i]), i);
-  }
-  const auto it = column_cache_.find(strings::to_lower(name));
-  if (it == column_cache_.end())
-    throw LookupError(strings::cat("result has no column '", std::string(name), "'"));
-  return it->second;
+  // Result sets are a handful of columns wide: a scan beats building a map.
+  // The first occurrence of a duplicated header wins.
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    if (strings::iequals(columns[i], name)) return i;
+  throw LookupError(strings::cat("result has no column '", std::string(name), "'"));
 }
 
 const Value& ResultSet::at(std::size_t row, std::string_view column) const {
@@ -362,7 +409,7 @@ Database::PreparedStatement Database::prepare(std::string_view sql) {
   // text both parse; the loser's insert is dropped in favor of the entry
   // already present.
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto statement = std::make_shared<const Statement>(parse_statement(sql));
+  auto statement = std::make_shared<const Prepared>(parse_statement(sql));
   std::lock_guard<std::mutex> lock(statement_mutex_);
   const auto it = statement_cache_.find(sql);
   if (it != statement_cache_.end()) {
@@ -378,27 +425,82 @@ Database::PreparedStatement Database::prepare(std::string_view sql) {
   return lru_.front().second;
 }
 
-ResultSet Database::execute(std::string_view sql) {
+ResultSet Database::execute(std::string_view sql, std::span<const Value> params) {
   const PreparedStatement statement = prepare(sql);
-  return execute(*statement);
+  return execute(*statement, params);
 }
 
-ResultSet Database::execute(const Statement& statement) {
-  return std::visit([this](const auto& stmt) { return run(stmt); }, statement);
+ResultSet Database::execute(const Prepared& prepared, std::span<const Value> params) {
+  require_params(prepared, params);
+  return std::visit(
+      [&](const auto& stmt) -> ResultSet {
+        using Stmt = std::decay_t<decltype(stmt)>;
+        if constexpr (std::is_same_v<Stmt, SelectStmt>) {
+          // SELECT never touches the writer lock: it pins the current commit
+          // timestamp (keeping reclamation at bay) and evaluates against the
+          // version chains and catalog visible at that timestamp.
+          const ReaderRegistry::Pin pin = registry_.pin(commit_ts_);
+          read_views_opened_.fetch_add(1, std::memory_order_relaxed);
+          const Catalog* catalog = catalog_.load(std::memory_order_seq_cst);
+          return run_select(prepared, *catalog, pin.ts(), params);
+        } else if constexpr (std::is_same_v<Stmt, InsertStmt> ||
+                             std::is_same_v<Stmt, UpdateStmt> ||
+                             std::is_same_v<Stmt, DeleteStmt>) {
+          return run_write_locked([&](std::vector<WalRecord>& records) {
+            return run_write(prepared, stmt, params, records);
+          });
+        } else {
+          return run_write_locked(
+              [&](std::vector<WalRecord>& records) { return run_write(stmt, records); });
+        }
+      },
+      prepared.statement());
 }
 
-ResultSet Database::run(const SelectStmt& stmt) {
-  // SELECT never touches the writer lock: it pins the current commit
-  // timestamp (keeping reclamation at bay) and evaluates against the
-  // version chains and catalog visible at that timestamp.
-  const ReaderRegistry::Pin pin = registry_.pin(commit_ts_);
-  read_views_opened_.fetch_add(1, std::memory_order_relaxed);
-  const Catalog* catalog = catalog_.load(std::memory_order_seq_cst);
-  return run_select(stmt, *catalog, pin.ts());
+ResultSet Database::insert_rows(const Prepared& prepared, std::span<const Value> rows) {
+  const auto* insert = std::get_if<InsertStmt>(&prepared.statement());
+  const std::size_t width = prepared.param_count();
+  if (insert == nullptr || width == 0 || rows.size() % width != 0)
+    throw StateError(strings::cat("insert_rows: needs an INSERT with placeholders and whole "
+                                  "groups of values, got ", rows.size(), " for ", width));
+  return run_write_locked([&](std::vector<WalRecord>& records) {
+    return run_write(prepared, *insert, rows, records);
+  });
 }
 
-template <typename Stmt>
-ResultSet Database::run(const Stmt& stmt) {
+template <typename Fits, typename Build>
+const Binding& Database::binding_for(const Prepared& prepared, std::uint64_t catalog_id,
+                                     const Fits& fits, const Build& build) {
+  const auto usable = [&](const Binding* binding) {
+    return binding != nullptr && binding->catalog_id == catalog_id && fits(*binding);
+  };
+  const Binding* current = prepared.binding_.load(std::memory_order_acquire);
+  if (usable(current)) return *current;
+  std::lock_guard<std::mutex> lock(prepared.bind_mutex_);
+  for (auto it = prepared.bindings_.rbegin(); it != prepared.bindings_.rend(); ++it) {
+    if (!usable(it->get())) continue;
+    prepared.binding_.store(it->get(), std::memory_order_release);
+    return **it;
+  }
+  // A name that does not resolve throws here, and nothing is kept.
+  prepared.bindings_.push_back(build());
+  prepared.binding_.store(prepared.bindings_.back().get(), std::memory_order_release);
+  return *prepared.bindings_.back();
+}
+
+const Binding& Database::bind_write_locked(const Prepared& prepared, const Table& target) const {
+  const Catalog& catalog = *catalog_.load(std::memory_order_relaxed);
+  return binding_for(
+      prepared, catalog.id,
+      [&target](const Binding& binding) { return binding.tables.front() == &target; },
+      [&] {
+        return bind_write(prepared.statement(), prepared.parsed_.column_refs, catalog.id,
+                          target);
+      });
+}
+
+template <typename Handler>
+ResultSet Database::run_write_locked(const Handler& handler) {
   // Mutations serialize on table_lock_ — run_write and table_locked()
   // assume it is already held (the mutex is not recursive). Journal records
   // are written under it, but subscriber notifications fire only after it
@@ -414,7 +516,7 @@ ResultSet Database::run(const Stmt& stmt) {
     // redirected to the leader before any state is touched.
     require_state(!read_only_.load(std::memory_order_relaxed), read_only_error_);
     try {
-      result = run_write(stmt, records);
+      result = handler(records);
     } catch (...) {
       // A statement can fail midway with part of its work applied (this
       // engine has no rollback). The WAL must mirror memory exactly and
@@ -522,6 +624,7 @@ void Database::drop_table_locked(std::string_view name) {
 
 void Database::catalog_append_locked(std::shared_ptr<Table> table) {
   auto next = std::make_unique<Catalog>();
+  next->id = next_catalog_id.fetch_add(1, std::memory_order_relaxed);
   next->entries = catalog_.load(std::memory_order_relaxed)->entries;
   CatalogEntry entry{std::move(table), ++catalog_seq_};
   const auto pos = std::upper_bound(
@@ -593,19 +696,31 @@ std::vector<std::string> Database::table_names() const {
   return out;
 }
 
-ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
-                               std::uint64_t ts) {
-  // Resolve FROM tables against the catalog visible at the read timestamp.
-  std::vector<const Table*> tables;
-  std::vector<std::string> aliases;
+ResultSet Database::run_select(const Prepared& prepared, const Catalog& catalog,
+                               std::uint64_t ts, std::span<const Value> params) {
+  const auto& stmt = std::get<SelectStmt>(prepared.statement());
+  // Bound tables are right for this read timestamp when all are visible at
+  // it: at most one table of a name is visible at any timestamp.
+  const Binding& binding = binding_for(
+      prepared, catalog.id,
+      [ts](const Binding& bound) {
+        return std::all_of(bound.tables.begin(), bound.tables.end(),
+                           [ts](const Table* table) { return table->visible_at(ts); });
+      },
+      [&] {
+        std::vector<const Table*> tables;
+        for (const TableRef& ref : stmt.from) {
+          const Table* resolved = catalog_lookup(catalog, ref.table, ts);
+          if (resolved == nullptr) throw LookupError(strings::cat("no such table: ", ref.table));
+          tables.push_back(resolved);
+        }
+        return bind_select(stmt, prepared.parsed_.column_refs, catalog.id, std::move(tables));
+      });
+  const std::vector<const Table*>& tables = binding.tables;
+
   std::vector<Table::Reader> readers;
-  for (const auto& ref : stmt.from) {
-    const Table* resolved = catalog_lookup(catalog, ref.table, ts);
-    require_found(resolved != nullptr, strings::cat("no such table: ", ref.table));
-    tables.push_back(resolved);
-    aliases.push_back(ref.alias);
-    readers.push_back(resolved->reader(ts));
-  }
+  readers.reserve(tables.size());
+  for (const Table* table : tables) readers.push_back(table->reader(ts));
 
   // Visible-row materialization is lazy and per table: the probe plans
   // never enumerate the probed side at all, and a join only pays for the
@@ -620,59 +735,18 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
     return materialized[i];
   };
 
-  // Expand the select list (stars become column references).
-  struct OutputItem {
-    const Expr* expr = nullptr;
-    ExprPtr owned;
-    std::string name;
-  };
-  std::vector<OutputItem> outputs;
-  for (const auto& item : stmt.items) {
-    if (item.star) {
-      for (std::size_t i = 0; i < tables.size(); ++i) {
-        if (!item.star_table.empty() &&
-            strings::to_lower(item.star_table) != strings::to_lower(aliases[i]))
-          continue;
-        for (const auto& col : tables[i]->columns()) {
-          OutputItem out;
-          out.owned = Expr::column(aliases[i], col.name);
-          out.expr = out.owned.get();
-          out.name = tables.size() > 1 ? strings::cat(aliases[i], ".", col.name) : col.name;
-          outputs.push_back(std::move(out));
-        }
-      }
-      if (!item.star_table.empty() && outputs.empty())
-        throw LookupError(strings::cat("unknown table '", item.star_table, "' in select list"));
-    } else {
-      OutputItem out;
-      out.expr = item.expr.get();
-      out.name = !item.alias.empty() ? item.alias : item.expr->display_name();
-      outputs.push_back(std::move(out));
-    }
-  }
+  // The row of each FROM table the expressions read.
+  std::vector<const Row*> current(tables.size(), nullptr);
+  const EvalContext ctx{binding.columns, current.data(), params};
 
   ResultSet result;
-  for (const auto& out : outputs) result.columns.push_back(out.name);
-
-  JoinContext ctx(tables, aliases);
-
-  // Validate every column reference up front against a row of NULLs so that
-  // unknown names are rejected even when a table is empty (expressions over
-  // NULL are total: they yield NULL rather than throwing).
-  {
-    std::vector<Row> null_rows;
-    null_rows.reserve(tables.size());
-    for (const auto* t : tables) null_rows.emplace_back(t->columns().size(), Value::null());
-    for (std::size_t i = 0; i < tables.size(); ++i) ctx.set_row(i, &null_rows[i]);
-    for (const auto& out : outputs) (void)out.expr->evaluate(ctx);
-    if (stmt.where) (void)stmt.where->evaluate(ctx);
-    for (const auto& key : stmt.order_by) (void)key.expr->evaluate(ctx);
-  }
+  result.columns = binding.names;
+  const std::size_t limit = stmt.limit.value_or(std::numeric_limits<std::size_t>::max());
   struct Keyed {
     Row projected;
     Row keys;
   };
-  std::vector<Keyed> collected;
+  std::vector<Keyed> collected;  // ORDER BY only: sorted before the limit applies
 
   // When a plan consumes one equality conjunct (index probe / hash join),
   // the remaining conjuncts still run against every candidate; rows pass the
@@ -695,16 +769,24 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
       const Value keep = stmt.where->evaluate(ctx);
       if (keep.is_null() || !keep.truthy()) return;
     }
-    Keyed keyed;
-    keyed.projected.reserve(outputs.size());
-    for (const auto& out : outputs) keyed.projected.push_back(out.expr->evaluate(ctx));
+    Row projected;
+    projected.reserve(binding.outputs.size());
+    for (const Binding::Output& out : binding.outputs)
+      projected.push_back(out.expr != nullptr ? out.expr->evaluate(ctx)
+                                              : (*current[out.slot.table])[out.slot.column]);
+    if (stmt.order_by.empty()) {
+      if (result.rows.size() < limit) result.rows.push_back(std::move(projected));
+      return;
+    }
+    Keyed keyed{std::move(projected), {}};
     keyed.keys.reserve(stmt.order_by.size());
     for (const auto& key : stmt.order_by) keyed.keys.push_back(key.expr->evaluate(ctx));
     collected.push_back(std::move(keyed));
   };
 
   // --- planner: pick how to enumerate candidate row combinations ----------
-  // 1. Single table + an indexed `col = literal` conjunct -> index probe.
+  // 1. Single table + an indexed `col = literal` (or `col = ?`) conjunct ->
+  //    index probe.
   // 2. Two tables + a selective indexed `col = literal` conjunct -> index
   //    join: probe the literal, pair the few hits with the other table.
   // 3. Two tables + a `a.x = b.y` conjunct -> hash join, built on the
@@ -721,21 +803,24 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
   const std::vector<const Row*>* source0 = nullptr;       // join emission sides
   const std::vector<const Row*>* source1 = nullptr;
 
-  std::vector<const Expr*> conjuncts;
-  if (planner_enabled_.load(std::memory_order_relaxed) && stmt.where)
-    collect_conjuncts(stmt.where.get(), conjuncts);
+  const std::span<const Expr* const> conjuncts =
+      planner_enabled_.load(std::memory_order_relaxed) ? std::span<const Expr* const>(binding.conjuncts)
+                                                       : std::span<const Expr* const>();
+  const auto keep_others = [&](const Expr* consumed) {
+    for (const Expr* other : conjuncts)
+      if (other != consumed) residual.push_back(other);
+    use_residual = true;
+  };
 
   if (tables.size() == 1) {
     for (const Expr* conjunct : conjuncts) {
-      const auto eq = match_eq_column_literal(conjunct);
+      const auto eq = match_eq_column_constant(conjunct, params);
       if (!eq) continue;
-      const auto resolved = resolve_column(eq->column, tables, aliases);
-      if (!resolved || !tables[0]->has_index_on(resolved->second)) continue;
-      probe_hits = readers[0].probe_rows(resolved->second, eq->literal->literal_value());
+      const std::size_t column = binding.columns[eq->column->column_ref()].column;
+      if (!tables[0]->has_index_on(column)) continue;
+      probe_hits = readers[0].probe_rows(column, *eq->value);
       plan = Plan::kIndexProbe;
-      for (const Expr* other : conjuncts)
-        if (other != conjunct) residual.push_back(other);
-      use_residual = true;
+      keep_others(conjunct);
       break;
     }
   } else if (tables.size() == 2) {
@@ -743,16 +828,15 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
     // pair the hits with every row of the other side, and let the residual
     // conjuncts (including the join predicate) filter. This is the plan
     // behind point re-fetches that join — the kickstart resolve and the
-    // incremental reports' select_one queries, both `pk = literal` against
-    // a small dimension table.
+    // incremental reports' select_one queries, both `pk = ?` against a
+    // small dimension table.
     for (const Expr* conjunct : conjuncts) {
-      const auto eq = match_eq_column_literal(conjunct);
+      const auto eq = match_eq_column_constant(conjunct, params);
       if (!eq) continue;
-      const auto resolved = resolve_column(eq->column, tables, aliases);
-      if (!resolved || !tables[resolved->first]->has_index_on(resolved->second)) continue;
-      const std::size_t side = resolved->first;
-      const auto hits =
-          readers[side].probe_rows(resolved->second, eq->literal->literal_value());
+      const ColumnSlot slot = binding.columns[eq->column->column_ref()];
+      if (!tables[slot.table]->has_index_on(slot.column)) continue;
+      const std::size_t side = slot.table;
+      std::vector<const Row*> hits = readers[side].probe_rows(slot.column, *eq->value);
       // Only when pairing is cheaper than the hash join's pass over both
       // tables; an unselective probe (or a big far side) stays hashed. The
       // gate uses the lock-free live estimates — a heuristic, like every
@@ -760,7 +844,7 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
       if (hits.size() * tables[1 - side]->live_estimate() >
           tables[0]->live_estimate() + tables[1]->live_estimate())
         continue;
-      probe_hits = hits;
+      probe_hits = std::move(hits);
       const std::vector<const Row*>& other = rows_of(1 - side);
       for (std::size_t h = 0; h < probe_hits.size(); ++h)
         for (std::size_t o = 0; o < other.size(); ++o)
@@ -772,9 +856,7 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
       source0 = side == 0 ? &probe_hits : &other;
       source1 = side == 0 ? &other : &probe_hits;
       plan = Plan::kIndexJoin;
-      for (const Expr* other_conjunct : conjuncts)
-        if (other_conjunct != conjunct) residual.push_back(other_conjunct);
-      use_residual = true;
+      keep_others(conjunct);
       break;
     }
     for (const Expr* conjunct : conjuncts) {
@@ -785,11 +867,11 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
       const Expr* l = conjunct->lhs();
       const Expr* r = conjunct->rhs();
       if (l->kind() != Expr::Kind::kColumn || r->kind() != Expr::Kind::kColumn) continue;
-      const auto a = resolve_column(l, tables, aliases);
-      const auto b = resolve_column(r, tables, aliases);
-      if (!a || !b || a->first == b->first) continue;
-      const std::size_t col0 = a->first == 0 ? a->second : b->second;
-      const std::size_t col1 = a->first == 0 ? b->second : a->second;
+      const ColumnSlot a = binding.columns[l->column_ref()];
+      const ColumnSlot b = binding.columns[r->column_ref()];
+      if (a.table == b.table) continue;
+      const std::size_t col0 = a.table == 0 ? a.column : b.column;
+      const std::size_t col1 = a.table == 0 ? b.column : a.column;
 
       // Build the hash table on the smaller side, stream the other through.
       const std::vector<const Row*>& rows0 = rows_of(0);
@@ -820,9 +902,7 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
       source0 = &rows0;
       source1 = &rows1;
       plan = Plan::kHashJoin;
-      for (const Expr* other : conjuncts)
-        if (other != conjunct) residual.push_back(other);
-      use_residual = true;
+      keep_others(conjunct);
       break;
     }
   }
@@ -837,15 +917,15 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
   switch (plan) {
     case Plan::kIndexProbe:
       for (const Row* row : probe_hits) {
-        ctx.set_row(0, row);
+        current[0] = row;
         emit_current();
       }
       break;
     case Plan::kIndexJoin:
     case Plan::kHashJoin:
       for (const auto& pair : join_pairs) {
-        ctx.set_row(0, (*source0)[pair[0]]);
-        ctx.set_row(1, (*source1)[pair[1]]);
+        current[0] = (*source0)[pair[0]];
+        current[1] = (*source1)[pair[1]];
         emit_current();
       }
       break;
@@ -858,8 +938,7 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
           if (rows_of(i).empty()) any_empty = true;
         if (!any_empty) {
           while (true) {
-            for (std::size_t i = 0; i < tables.size(); ++i)
-              ctx.set_row(i, rows_of(i)[cursor[i]]);
+            for (std::size_t i = 0; i < tables.size(); ++i) current[i] = rows_of(i)[cursor[i]];
             emit_current();
             std::size_t level = tables.size();
             bool wrapped = false;
@@ -885,63 +964,52 @@ ResultSet Database::run_select(const SelectStmt& stmt, const Catalog& catalog,
       }
       return false;
     });
+    for (std::size_t i = 0; i < collected.size() && i < limit; ++i)
+      result.rows.push_back(std::move(collected[i].projected));
   }
-
-  const std::size_t limit = stmt.limit.value_or(collected.size());
-  for (std::size_t i = 0; i < collected.size() && i < limit; ++i)
-    result.rows.push_back(std::move(collected[i].projected));
   return result;
 }
 
-ResultSet Database::run_write(const InsertStmt& stmt, std::vector<WalRecord>& records) {
+ResultSet Database::run_write(const Prepared& prepared, const InsertStmt& stmt,
+                              std::span<const Value> params, std::vector<WalRecord>& records) {
   Table& target = table_mutable(stmt.table);
-  const EmptyContext ctx;
+  const Binding& binding = bind_write_locked(prepared, target);
+  const std::size_t width = prepared.param_count();
+  const std::size_t groups = width == 0 ? 1 : params.size() / width;
   ResultSet result;
-  for (const auto& exprs : stmt.rows) {
-    WalRecord record{.op = WalOp::kInsert, .table = target.name(),
-                     .row = Row(target.columns().size(), Value::null())};
-    if (stmt.columns.empty()) {
-      require_state(exprs.size() == target.columns().size(),
-                    strings::cat("INSERT into ", stmt.table, ": expected ",
-                                 target.columns().size(), " values, got ", exprs.size()));
-      for (std::size_t i = 0; i < exprs.size(); ++i) record.row[i] = exprs[i]->evaluate(ctx);
-    } else {
-      require_state(exprs.size() == stmt.columns.size(),
-                    strings::cat("INSERT into ", stmt.table, ": column/value count mismatch"));
-      for (std::size_t i = 0; i < stmt.columns.size(); ++i) {
-        const auto index = target.column_index(stmt.columns[i]);
-        require_found(index.has_value(),
-                      strings::cat("unknown column '", stmt.columns[i], "' in INSERT"));
-        record.row[*index] = exprs[i]->evaluate(ctx);
-      }
+  for (std::size_t group = 0; group < groups; ++group) {
+    const EvalContext ctx{binding.columns, nullptr,
+                          width == 0 ? params : params.subspan(group * width, width)};
+    for (const auto& exprs : stmt.rows) {
+      WalRecord record{.op = WalOp::kInsert, .table = target.name(),
+                       .row = Row(target.columns().size(), Value::null())};
+      for (std::size_t i = 0; i < exprs.size(); ++i)
+        record.row[binding.targets[i]] = exprs[i]->evaluate(ctx);
+      apply_locked(record);
+      records.push_back(std::move(record));
+      ++result.affected_rows;
     }
-    apply_locked(record);
-    records.push_back(std::move(record));
-    ++result.affected_rows;
   }
   return result;
 }
 
-ResultSet Database::run_write(const UpdateStmt& stmt, std::vector<WalRecord>& records) {
+ResultSet Database::run_write(const Prepared& prepared, const UpdateStmt& stmt,
+                              std::span<const Value> params, std::vector<WalRecord>& records) {
   Table& target = table_mutable(stmt.table);
-  // Resolve assignment columns once.
-  std::vector<std::pair<std::size_t, const Expr*>> assignments;
-  for (const auto& [column, expr] : stmt.assignments) {
-    const auto index = target.column_index(column);
-    require_found(index.has_value(), strings::cat("unknown column '", column, "' in UPDATE"));
-    assignments.emplace_back(*index, expr.get());
-  }
+  const Binding& binding = bind_write_locked(prepared, target);
+  const Row* current = nullptr;
+  const EvalContext ctx{binding.columns, &current, params};
   ResultSet result;
-  SingleTableContext ctx(target);
   for_each_matching_row(
-      target, stmt.where.get(), ctx, planner_enabled_.load(std::memory_order_relaxed),
-      plans_index_probe_, [&](std::size_t position) {
+      target, stmt.where.get(), binding, ctx, current,
+      planner_enabled_.load(std::memory_order_relaxed), plans_index_probe_,
+      [&](std::size_t position) {
         // Evaluate all RHS against the pre-update row; the record publishes
         // one new version carrying the changed cells.
         WalRecord record{.op = WalOp::kUpdate, .table = target.name(), .row_index = position};
-        record.cells.reserve(assignments.size());
-        for (const auto& [index, expr] : assignments)
-          record.cells.emplace_back(index, expr->evaluate(ctx));
+        record.cells.reserve(stmt.assignments.size());
+        for (std::size_t i = 0; i < stmt.assignments.size(); ++i)
+          record.cells.emplace_back(binding.targets[i], stmt.assignments[i].second->evaluate(ctx));
         apply_locked(record);
         records.push_back(std::move(record));
         ++result.affected_rows;
@@ -949,11 +1017,14 @@ ResultSet Database::run_write(const UpdateStmt& stmt, std::vector<WalRecord>& re
   return result;
 }
 
-ResultSet Database::run_write(const DeleteStmt& stmt, std::vector<WalRecord>& records) {
+ResultSet Database::run_write(const Prepared& prepared, const DeleteStmt& stmt,
+                              std::span<const Value> params, std::vector<WalRecord>& records) {
   Table& target = table_mutable(stmt.table);
-  SingleTableContext ctx(target);
+  const Binding& binding = bind_write_locked(prepared, target);
+  const Row* current = nullptr;
+  const EvalContext ctx{binding.columns, &current, params};
   WalRecord record{.op = WalOp::kDelete, .table = target.name()};
-  for_each_matching_row(target, stmt.where.get(), ctx,
+  for_each_matching_row(target, stmt.where.get(), binding, ctx, current,
                         planner_enabled_.load(std::memory_order_relaxed), plans_index_probe_,
                         [&](std::size_t position) { record.row_indexes.push_back(position); });
   ResultSet result;
@@ -1449,27 +1520,17 @@ void Database::reset_stats() {
   read_views_opened_.store(0, std::memory_order_relaxed);
 }
 
-ResultSet ReadView::execute(std::string_view sql) {
-  require_state(db_ != nullptr, "ReadView: not attached to a database");
-  return execute(*db_->prepare(sql));
+ResultSet ReadView::execute(std::string_view sql, std::span<const Value> params) {
+  if (db_ == nullptr) throw StateError("ReadView: not attached to a database");
+  return execute(*db_->prepare(sql), params);
 }
 
-ResultSet ReadView::execute(const Statement& statement) {
-  require_state(db_ != nullptr, "ReadView: not attached to a database");
-  require_state(std::holds_alternative<SelectStmt>(statement),
-                "ReadView accepts SELECT statements only");
-  return db_->run_select(std::get<SelectStmt>(statement), *catalog_, pin_.ts());
-}
-
-std::vector<std::string> ReadView::query_column(std::string_view sql) {
-  const ResultSet result = execute(sql);
-  require_state(result.columns.size() == 1,
-                strings::cat("query_column expects exactly one output column, got ",
-                             result.columns.size()));
-  std::vector<std::string> out;
-  out.reserve(result.rows.size());
-  for (const auto& row : result.rows) out.push_back(row[0].to_string());
-  return out;
+ResultSet ReadView::execute(const Prepared& statement, std::span<const Value> params) {
+  if (db_ == nullptr) throw StateError("ReadView: not attached to a database");
+  if (!std::holds_alternative<SelectStmt>(statement.statement()))
+    throw StateError("ReadView accepts SELECT statements only");
+  require_params(statement, params);
+  return db_->run_select(statement, *catalog_, pin_.ts(), params);
 }
 
 }  // namespace rocks::sqldb

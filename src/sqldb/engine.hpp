@@ -5,12 +5,15 @@
 // every service-specific configuration file from query reports (paper
 // Sections 1 and 6.4). This engine executes the SQL those components issue.
 //
-// Hot-path machinery (see DESIGN.md §8): execute(string_view) consults an
-// LRU cache of parsed statements so repeat callers (the kickstart CGI, the
-// service generators, cluster-kill --query=) pay the parser once; SELECT
-// runs through a small planner that probes per-column hash indexes for
-// equality predicates and hash-joins two-table equi-joins, falling back to
-// the nested-loop scan whenever a query doesn't fit those shapes.
+// Hot-path machinery (see DESIGN.md §8): prepare() parses a statement once;
+// its `?` placeholders take values per execute, and its table and column
+// names are bound to positions once per catalog, so a caller that holds the
+// statement pays neither the parser nor name lookup again. Ad-hoc SQL text
+// (operator queries, cluster-kill --query=) goes through an LRU cache of
+// prepared statements. SELECT runs through a small planner that probes
+// per-column hash indexes for equality predicates (`col = literal` and
+// `col = ?` alike) and hash-joins two-table equi-joins, falling back to the
+// nested-loop scan whenever a query doesn't fit those shapes.
 //
 // Concurrency (DESIGN.md §13): multi-version concurrency control. Writers
 // (DML/DDL) serialize on one mutex — WAL order is commit order — but
@@ -31,11 +34,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -55,6 +60,7 @@ namespace rocks::sqldb {
 struct WalRecord;
 struct WalGroup;
 struct SnapshotData;
+struct Binding;
 class ReadView;
 
 /// What open_durable() found and did while bringing the store back up.
@@ -108,9 +114,44 @@ struct CatalogEntry {
 /// An immutable published table set, sorted by (lowered name, seq).
 /// Readers load the current catalog once per view; superseded catalogs are
 /// retained for the Database's lifetime (bounded by DDL count), which is
-/// why a raw atomic pointer suffices.
+/// why a raw atomic pointer suffices. `id` is unique in the process: a
+/// prepared statement's binding names its catalog by id, which no later
+/// catalog (of any Database) reuses, as an address could be.
 struct Catalog {
   std::vector<CatalogEntry> entries;
+  std::uint64_t id = 0;
+};
+
+/// A parsed statement, executed many times with values for its `?`
+/// placeholders (Database::prepare). The first execute against a catalog
+/// binds it: the FROM tables, every column reference's (table, column)
+/// position, `*` expansion and the output names are resolved in one step
+/// and kept with the statement. Later executes against that catalog read
+/// positions only. CREATE TABLE publishes a new catalog and DROP TABLE
+/// makes the bound table invisible, so the next execute rebinds (or
+/// throws LookupError). Immutable apart from that cache, which is safe to
+/// fill from several threads: share one statement freely.
+class Prepared {
+ public:
+  explicit Prepared(ParsedStatement parsed);
+  ~Prepared();  // out-of-line: Binding is incomplete here
+  Prepared(const Prepared&) = delete;
+  Prepared& operator=(const Prepared&) = delete;
+
+  [[nodiscard]] const Statement& statement() const { return parsed_.statement; }
+  /// How many `?` placeholders an execute must bind.
+  [[nodiscard]] std::size_t param_count() const { return parsed_.params; }
+
+ private:
+  friend class Database;
+  ParsedStatement parsed_;
+  // The newest binding, read lock-free by every execute. Bindings made
+  // earlier stay in bindings_ until the statement dies (a pinned reader
+  // may still be using one); their count is bounded by the catalogs the
+  // statement ran against.
+  mutable std::atomic<const Binding*> binding_{nullptr};
+  mutable std::mutex bind_mutex_;
+  mutable std::vector<std::unique_ptr<const Binding>> bindings_;
 };
 
 /// MVCC observability (cluster-status --engine, bench_mvcc): the commit
@@ -140,18 +181,35 @@ class Database {
 
   /// A parsed, shareable statement. Holders keep it valid even after the
   /// cache evicts the entry.
-  using PreparedStatement = std::shared_ptr<const Statement>;
+  using PreparedStatement = std::shared_ptr<const Prepared>;
 
   /// Parses one statement, consulting/filling the LRU statement cache keyed
-  /// on the exact SQL text. Throws ParseError.
+  /// on the exact SQL text; every parse counts as a cache miss. Throws
+  /// ParseError. A caller that runs a statement repeatedly prepares it once
+  /// and executes the handle.
   [[nodiscard]] PreparedStatement prepare(std::string_view sql);
 
-  /// Parses (through the statement cache) and executes one SQL statement.
-  /// Throws ParseError / LookupError. SELECTs run lock-free against a
-  /// snapshot-isolation view pinned at the current commit timestamp.
-  ResultSet execute(std::string_view sql);
-  /// Executes a pre-parsed statement.
-  ResultSet execute(const Statement& statement);
+  /// Executes a prepared statement with one value per `?`, in text order.
+  /// A wrong number of values throws StateError before anything changes.
+  /// Throws LookupError for names the catalog does not know. SELECTs run
+  /// lock-free against a snapshot-isolation view pinned at the current
+  /// commit timestamp.
+  ResultSet execute(const Prepared& statement, std::span<const Value> params = {});
+  ResultSet execute(const Prepared& statement, std::initializer_list<Value> params) {
+    return execute(statement, std::span<const Value>(params.begin(), params.size()));
+  }
+  /// Executes a prepared INSERT once per group of param_count() values in
+  /// `rows`, as one statement: one WAL group and one commit, exactly like
+  /// a multi-row INSERT, without a statement per row count. Throws
+  /// StateError, changing nothing, for a non-INSERT, an INSERT with no
+  /// placeholders, or a value count that is not a whole number of groups.
+  ResultSet insert_rows(const Prepared& statement, std::span<const Value> rows);
+  /// Prepares (through the statement cache) and executes one SQL statement:
+  /// the path for ad-hoc text. Throws ParseError as well.
+  ResultSet execute(std::string_view sql, std::span<const Value> params = {});
+  ResultSet execute(std::string_view sql, std::initializer_list<Value> params) {
+    return execute(sql, std::span<const Value>(params.begin(), params.size()));
+  }
 
   /// Convenience: run a SELECT and return the single-column results as text.
   [[nodiscard]] std::vector<std::string> query_column(std::string_view sql);
@@ -366,20 +424,37 @@ class Database {
   // lock; every other statement runs its handler under the writer lock,
   // commits the records it built, and notifies the channels they touched
   // after the lock is released (callbacks may re-enter the Database).
-  ResultSet run(const SelectStmt& stmt);
-  template <typename Stmt>
-  ResultSet run(const Stmt& stmt);
-  ResultSet run_select(const SelectStmt& stmt, const Catalog& catalog, std::uint64_t ts);
+  /// A SELECT against `catalog` at read timestamp `ts` (binds first).
+  ResultSet run_select(const Prepared& prepared, const Catalog& catalog, std::uint64_t ts,
+                       std::span<const Value> params);
+  /// The write path: `handler(records)` runs under the writer lock.
+  template <typename Handler>
+  ResultSet run_write_locked(const Handler& handler);
+
+  /// The binding of `prepared` whose catalog is `catalog_id` and whose
+  /// tables `fits` accepts: the published one, an earlier one, or a new
+  /// one from `build` (which throws LookupError for unknown names).
+  template <typename Fits, typename Build>
+  static const Binding& binding_for(const Prepared& prepared, std::uint64_t catalog_id,
+                                    const Fits& fits, const Build& build);
 
   // Statement handlers: each builds one physical WAL record per row-level
   // change, applies it through apply_locked, and appends it to `records`
-  // (the statement's WAL group).
-  ResultSet run_write(const InsertStmt& stmt, std::vector<WalRecord>& records);
-  ResultSet run_write(const UpdateStmt& stmt, std::vector<WalRecord>& records);
-  ResultSet run_write(const DeleteStmt& stmt, std::vector<WalRecord>& records);
+  // (the statement's WAL group). The row statements bind to their target
+  // table first. An INSERT runs its VALUES once per param_count() values
+  // in `params` (insert_rows).
+  ResultSet run_write(const Prepared& prepared, const InsertStmt& stmt,
+                      std::span<const Value> params, std::vector<WalRecord>& records);
+  ResultSet run_write(const Prepared& prepared, const UpdateStmt& stmt,
+                      std::span<const Value> params, std::vector<WalRecord>& records);
+  ResultSet run_write(const Prepared& prepared, const DeleteStmt& stmt,
+                      std::span<const Value> params, std::vector<WalRecord>& records);
   ResultSet run_write(const CreateTableStmt& stmt, std::vector<WalRecord>& records);
   ResultSet run_write(const CreateIndexStmt& stmt, std::vector<WalRecord>& records);
   ResultSet run_write(const DropTableStmt& stmt, std::vector<WalRecord>& records);
+  /// The binding of a row statement to `target` in the writer's current
+  /// catalog (writer lock held).
+  const Binding& bind_write_locked(const Prepared& prepared, const Table& target) const;
 
   /// The one mutation path, shared by live statements, WAL replay and
   /// replica apply: applies `record` to table storage and records it in the
@@ -498,11 +573,12 @@ class Database {
   mutable std::atomic<std::uint64_t> exclusive_wait_ns_{0};
   mutable std::atomic<std::uint64_t> read_views_opened_{0};
 
-  // --- prepared-statement LRU cache ---------------------------------------
+  // --- prepared-statement LRU cache (ad-hoc SQL text) ----------------------
   static constexpr std::size_t kStatementCacheCapacity = 256;
   // Guards lru_ + statement_cache_ (a cache *hit* still splices the LRU
   // list, so reads need the mutex too). Leaf lock: nothing else is
-  // acquired while it is held.
+  // acquired while it is held. Callers that hold their statements never
+  // take it after prepare().
   mutable std::mutex statement_mutex_;
   // Most-recently-used at the front. The unordered_map's string_view keys
   // point into the list nodes' stable strings.
@@ -534,12 +610,14 @@ class ReadView {
   [[nodiscard]] std::uint64_t ts() const { return pin_.ts(); }
   [[nodiscard]] explicit operator bool() const { return db_ != nullptr; }
 
-  /// Executes a SELECT (through the Database's statement cache) against the
-  /// pinned view. Throws StateError for non-SELECT statements.
-  ResultSet execute(std::string_view sql);
-  ResultSet execute(const Statement& statement);
-  /// Convenience mirror of Database::query_column against the pinned view.
-  [[nodiscard]] std::vector<std::string> query_column(std::string_view sql);
+  /// Executes a prepared SELECT against the pinned view, with one value
+  /// per `?`. Throws StateError for non-SELECT statements.
+  ResultSet execute(const Prepared& statement, std::span<const Value> params = {});
+  ResultSet execute(const Prepared& statement, std::initializer_list<Value> params) {
+    return execute(statement, std::span<const Value>(params.begin(), params.size()));
+  }
+  /// Ad-hoc SQL text, prepared through the Database's statement cache.
+  ResultSet execute(std::string_view sql, std::span<const Value> params = {});
 
  private:
   friend class Database;

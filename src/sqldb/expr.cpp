@@ -14,11 +14,19 @@ ExprPtr Expr::literal(Value value) {
   return e;
 }
 
-ExprPtr Expr::column(std::string table, std::string column) {
+ExprPtr Expr::param(std::size_t index) {
+  auto e = std::make_unique<Expr>();
+  e->kind_ = Kind::kParam;
+  e->index_ = index;
+  return e;
+}
+
+ExprPtr Expr::column(std::string table, std::string column, std::size_t ref) {
   auto e = std::make_unique<Expr>();
   e->kind_ = Kind::kColumn;
   e->table_ = std::move(table);
   e->column_ = std::move(column);
+  e->index_ = ref;
   return e;
 }
 
@@ -124,14 +132,39 @@ Value arithmetic_result(const Value& lhs, const Value& rhs, BinaryOp op) {
   throw StateError("arithmetic_result: not an arithmetic op");
 }
 
+/// An operand's value: a reference into the row, the parameters or the
+/// literal when it names one (no copy), else evaluated into `scratch`.
+const Value& operand(const Expr& expr, const EvalContext& ctx, Value& scratch) {
+  if (expr.kind() == Expr::Kind::kColumn) {
+    const ColumnSlot slot = ctx.columns[expr.column_ref()];
+    return (*ctx.rows[slot.table])[slot.column];
+  }
+  if (const Value* value = expr.constant(ctx.params)) return *value;
+  scratch = expr.evaluate(ctx);
+  return scratch;
+}
+
 }  // namespace
 
-Value Expr::evaluate(const RowContext& row) const {
+const Value* Expr::constant(std::span<const Value> params) const {
+  if (kind_ == Kind::kLiteral) return &value_;
+  if (kind_ == Kind::kParam) return &params[index_];
+  return nullptr;
+}
+
+Value Expr::evaluate(const EvalContext& ctx) const {
+  Value lhs_scratch, rhs_scratch;
+  const auto lhs = [&]() -> const Value& { return operand(*lhs_, ctx, lhs_scratch); };
+  const auto rhs = [&]() -> const Value& { return operand(*rhs_, ctx, rhs_scratch); };
   switch (kind_) {
     case Kind::kLiteral: return value_;
-    case Kind::kColumn: return row.lookup(table_, column_);
+    case Kind::kParam: return ctx.params[index_];
+    case Kind::kColumn: {
+      const ColumnSlot slot = ctx.columns[index_];
+      return (*ctx.rows[slot.table])[slot.column];
+    }
     case Kind::kUnary: {
-      const Value v = lhs_->evaluate(row);
+      const Value& v = lhs();
       if (unary_op_ == UnaryOp::kNot) {
         if (v.is_null()) return Value::null();
         return Value(std::int64_t{!v.truthy()});
@@ -145,24 +178,24 @@ Value Expr::evaluate(const RowContext& row) const {
       switch (binary_op_) {
         case BinaryOp::kAnd: {
           // Short-circuit with NULL handling: false AND x == false.
-          const Value a = lhs_->evaluate(row);
+          const Value& a = lhs();
           if (!a.is_null() && !a.truthy()) return Value(std::int64_t{0});
-          const Value b = rhs_->evaluate(row);
+          const Value& b = rhs();
           if (!b.is_null() && !b.truthy()) return Value(std::int64_t{0});
           if (a.is_null() || b.is_null()) return Value::null();
           return Value(std::int64_t{1});
         }
         case BinaryOp::kOr: {
-          const Value a = lhs_->evaluate(row);
+          const Value& a = lhs();
           if (!a.is_null() && a.truthy()) return Value(std::int64_t{1});
-          const Value b = rhs_->evaluate(row);
+          const Value& b = rhs();
           if (!b.is_null() && b.truthy()) return Value(std::int64_t{1});
           if (a.is_null() || b.is_null()) return Value::null();
           return Value(std::int64_t{0});
         }
         case BinaryOp::kLike: {
-          const Value a = lhs_->evaluate(row);
-          const Value b = rhs_->evaluate(row);
+          const Value& a = lhs();
+          const Value& b = rhs();
           if (a.is_null() || b.is_null()) return Value::null();
           return Value(std::int64_t{like_match(b.to_string(), a.to_string())});
         }
@@ -172,16 +205,16 @@ Value Expr::evaluate(const RowContext& row) const {
         case BinaryOp::kLe:
         case BinaryOp::kGt:
         case BinaryOp::kGe:
-          return compare_result(lhs_->evaluate(row), rhs_->evaluate(row), binary_op_);
-        default: return arithmetic_result(lhs_->evaluate(row), rhs_->evaluate(row), binary_op_);
+          return compare_result(lhs(), rhs(), binary_op_);
+        default: return arithmetic_result(lhs(), rhs(), binary_op_);
       }
     }
     case Kind::kIn: {
-      const Value needle = lhs_->evaluate(row);
+      const Value& needle = lhs();
       if (needle.is_null()) return Value::null();
       bool found = false;
       for (const auto& candidate : list_) {
-        const Value v = candidate->evaluate(row);
+        const Value& v = operand(*candidate, ctx, rhs_scratch);
         if (!v.is_null() && needle.compare(v) == 0) {
           found = true;
           break;
@@ -190,7 +223,7 @@ Value Expr::evaluate(const RowContext& row) const {
       return Value(std::int64_t{negated_ ? !found : found});
     }
     case Kind::kIsNull: {
-      const bool null = lhs_->evaluate(row).is_null();
+      const bool null = lhs().is_null();
       return Value(std::int64_t{negated_ ? !null : null});
     }
   }
@@ -202,6 +235,7 @@ std::string Expr::display_name() const {
     case Kind::kColumn:
       return table_.empty() ? column_ : strings::cat(table_, ".", column_);
     case Kind::kLiteral: return value_.to_string();
+    case Kind::kParam: return "?";
     default: return "expr";
   }
 }

@@ -7,7 +7,9 @@
 // cluster-kill").
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,14 +17,23 @@
 
 namespace rocks::sqldb {
 
-/// Resolves column references while a row (or joined row) is in scope.
-class RowContext {
- public:
-  virtual ~RowContext() = default;
-  /// `table` is empty for an unqualified reference. Throws LookupError for
-  /// unknown or ambiguous names.
-  [[nodiscard]] virtual Value lookup(const std::string& table, const std::string& column)
-      const = 0;
+/// A bound column reference: the FROM table it reads (by position in the
+/// statement's FROM list) and the column within that table. The engine
+/// resolves every reference of a statement to one of these when it binds
+/// the statement to a catalog (engine.cpp), so evaluation never looks a
+/// name up.
+struct ColumnSlot {
+  std::uint32_t table = 0;
+  std::uint32_t column = 0;
+};
+
+/// What an expression reads while it is evaluated: the statement's bound
+/// column slots (indexed by Expr::column_ref()), the current row of each
+/// FROM table, and the parameter values (indexed by placeholder number).
+struct EvalContext {
+  std::span<const ColumnSlot> columns;
+  const Row* const* rows = nullptr;
+  std::span<const Value> params;
 };
 
 enum class BinaryOp {
@@ -39,10 +50,14 @@ using ExprPtr = std::unique_ptr<Expr>;
 
 class Expr {
  public:
-  enum class Kind { kLiteral, kColumn, kUnary, kBinary, kIn, kIsNull };
+  enum class Kind { kLiteral, kParam, kColumn, kUnary, kBinary, kIn, kIsNull };
 
   static ExprPtr literal(Value value);
-  static ExprPtr column(std::string table, std::string column);
+  /// The `?` placeholder numbered `index` (0-based, in text order).
+  static ExprPtr param(std::size_t index);
+  /// A column reference; `ref` numbers it within its statement (0-based, in
+  /// text order) and indexes EvalContext::columns.
+  static ExprPtr column(std::string table, std::string column, std::size_t ref);
   static ExprPtr unary(UnaryOp op, ExprPtr operand);
   static ExprPtr binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
   static ExprPtr in(ExprPtr needle, std::vector<ExprPtr> haystack, bool negated);
@@ -50,18 +65,24 @@ class Expr {
 
   [[nodiscard]] Kind kind() const { return kind_; }
 
-  // Structural accessors for the engine's query planner (engine.cpp), which
-  // pattern-matches WHERE trees for AND-chains of equality predicates.
+  // Structural accessors for the engine (engine.cpp): the binder walks every
+  // column reference; the planner pattern-matches WHERE trees for AND-chains
+  // of equality predicates.
   [[nodiscard]] BinaryOp binary_op() const { return binary_op_; }      // kBinary
   [[nodiscard]] const Expr* lhs() const { return lhs_.get(); }         // kUnary/kBinary
   [[nodiscard]] const Expr* rhs() const { return rhs_.get(); }         // kBinary
   [[nodiscard]] const std::string& column_table() const { return table_; }   // kColumn
   [[nodiscard]] const std::string& column_name() const { return column_; }   // kColumn
-  [[nodiscard]] const Value& literal_value() const { return value_; }        // kLiteral
+  [[nodiscard]] std::size_t column_ref() const { return index_; }            // kColumn
+  [[nodiscard]] const std::vector<ExprPtr>& list() const { return list_; }   // kIn
 
-  /// Evaluates against the row in scope. SQL three-valued logic is
+  /// The value of a literal or a parameter, without copying it; null for
+  /// every other kind. The planner probes indexes with it.
+  [[nodiscard]] const Value* constant(std::span<const Value> params) const;
+
+  /// Evaluates against the rows in scope. SQL three-valued logic is
   /// approximated: comparisons involving NULL yield NULL (which is falsy).
-  [[nodiscard]] Value evaluate(const RowContext& row) const;
+  [[nodiscard]] Value evaluate(const EvalContext& ctx) const;
 
   /// Column name heuristics used for SELECT output headers.
   [[nodiscard]] std::string display_name() const;
@@ -70,6 +91,7 @@ class Expr {
   Kind kind_ = Kind::kLiteral;
   Value value_;                    // kLiteral
   std::string table_, column_;     // kColumn
+  std::size_t index_ = 0;          // kColumn: reference number; kParam: parameter number
   UnaryOp unary_op_ = UnaryOp::kNot;
   BinaryOp binary_op_ = BinaryOp::kEq;
   ExprPtr lhs_, rhs_;              // kUnary uses lhs_ only

@@ -105,7 +105,7 @@ std::vector<Token> lex(std::string_view sql) {
         goto next;
       }
     }
-    if (std::string_view("(),.=<>+-*/%;").find(c) != std::string_view::npos) {
+    if (std::string_view("(),.=<>+-*/%;?").find(c) != std::string_view::npos) {
       token.kind = TokenKind::kSymbol;
       token.text = std::string(1, c);
       out.push_back(std::move(token));

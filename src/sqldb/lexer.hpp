@@ -13,7 +13,7 @@ enum class TokenKind {
   kInt,
   kReal,
   kString,  // quoted literal, quotes stripped, escapes resolved
-  kSymbol,  // punctuation / operators: ( ) , . = != <> < <= > >= + - * / %
+  kSymbol,  // punctuation / operators: ( ) , . = != <> < <= > >= + - * / % ?
   kEnd,
 };
 

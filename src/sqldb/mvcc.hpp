@@ -48,8 +48,6 @@
 
 namespace rocks::sqldb {
 
-using Row = std::vector<Value>;
-
 /// end_ts of a live version / drop_ts of a live table: visible to every ts.
 inline constexpr std::uint64_t kTsInfinity = ~std::uint64_t{0};
 /// begin_ts of a version created by the statement in flight: greater than

@@ -11,11 +11,13 @@ class Parser {
  public:
   explicit Parser(std::string_view sql) : tokens_(lex(sql)) {}
 
-  Statement parse() {
-    Statement stmt = parse_statement_body();
+  ParsedStatement parse() {
+    ParsedStatement out{parse_statement_body()};
     accept_symbol(";");
     expect_end();
-    return stmt;
+    out.params = params_;
+    out.column_refs = column_refs_;
+    return out;
   }
 
  private:
@@ -29,8 +31,7 @@ class Parser {
   }
 
   [[nodiscard]] bool peek_keyword(std::string_view kw) const {
-    return peek().kind == TokenKind::kKeywordOrIdent &&
-           strings::to_lower(peek().text) == strings::to_lower(kw);
+    return peek().kind == TokenKind::kKeywordOrIdent && strings::iequals(peek().text, kw);
   }
 
   bool accept_keyword(std::string_view kw) {
@@ -75,9 +76,8 @@ class Parser {
         "null",   "asc",   "desc",  "as",    "if",     "exists", "primary", "key",
         "auto_increment",
     };
-    const std::string lowered = strings::to_lower(word);
     for (const char* kw : kReserved)
-      if (lowered == kw) return true;
+      if (strings::iequals(word, kw)) return true;
     return false;
   }
 
@@ -322,11 +322,11 @@ class Parser {
         advance();
         lhs = Expr::binary(BinaryOp::kLike, std::move(lhs), parse_additive());
       } else if (peek_keyword("not") && tokens_[pos_ + 1].kind == TokenKind::kKeywordOrIdent &&
-                 strings::to_lower(tokens_[pos_ + 1].text) == "in") {
+                 strings::iequals(tokens_[pos_ + 1].text, "in")) {
         pos_ += 2;
         lhs = parse_in_tail(std::move(lhs), /*negated=*/true);
       } else if (peek_keyword("not") && tokens_[pos_ + 1].kind == TokenKind::kKeywordOrIdent &&
-                 strings::to_lower(tokens_[pos_ + 1].text) == "like") {
+                 strings::iequals(tokens_[pos_ + 1].text, "like")) {
         pos_ += 2;
         lhs = Expr::unary(UnaryOp::kNot,
                           Expr::binary(BinaryOp::kLike, std::move(lhs), parse_additive()));
@@ -410,9 +410,13 @@ class Parser {
           expect_symbol(")");
           return inner;
         }
+        if (token.text == "?") {
+          advance();
+          return Expr::param(params_++);
+        }
         fail(strings::cat("unexpected symbol '", token.text, "'"));
       case TokenKind::kKeywordOrIdent: {
-        if (strings::to_lower(token.text) == "null") {
+        if (strings::iequals(token.text, "null")) {
           advance();
           return Expr::literal(Value::null());
         }
@@ -421,9 +425,9 @@ class Parser {
         std::string first = advance().text;
         if (accept_symbol(".")) {
           std::string second = expect_identifier("column name");
-          return Expr::column(std::move(first), std::move(second));
+          return Expr::column(std::move(first), std::move(second), column_refs_++);
         }
-        return Expr::column("", std::move(first));
+        return Expr::column("", std::move(first), column_refs_++);
       }
       case TokenKind::kEnd: fail("unexpected end of statement");
     }
@@ -432,10 +436,12 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t params_ = 0;       // `?` placeholders numbered so far
+  std::size_t column_refs_ = 0;  // column references numbered so far
 };
 
 }  // namespace
 
-Statement parse_statement(std::string_view sql) { return Parser(sql).parse(); }
+ParsedStatement parse_statement(std::string_view sql) { return Parser(sql).parse(); }
 
 }  // namespace rocks::sqldb

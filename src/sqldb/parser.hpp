@@ -14,6 +14,9 @@
 //   CREATE INDEX [IF NOT EXISTS] name ON table (column)
 //   DROP TABLE [IF EXISTS] table
 //
+// Anywhere a value may stand, `?` is a placeholder whose value the caller
+// binds at execute time (Database::execute(prepared, params)).
+//
 // JOIN ... ON is desugared into the FROM list plus a WHERE conjunct, which
 // matches how the paper writes its joins (comma-style FROM with WHERE).
 #pragma once
@@ -92,7 +95,18 @@ struct DropTableStmt {
 using Statement = std::variant<SelectStmt, InsertStmt, UpdateStmt, DeleteStmt, CreateTableStmt,
                                CreateIndexStmt, DropTableStmt>;
 
+/// A parsed statement and the numbering binding relies on: `?`
+/// placeholders are numbered 0..params-1 and column references
+/// 0..column_refs-1, both in text order.
+struct ParsedStatement {
+  Statement statement;
+  std::size_t params = 0;
+  std::size_t column_refs = 0;
+};
+
 /// Parses one statement (a trailing ';' is allowed). Throws ParseError.
-[[nodiscard]] Statement parse_statement(std::string_view sql);
+/// Database::prepare is its one caller: every parse is a statement-cache
+/// miss there.
+[[nodiscard]] ParsedStatement parse_statement(std::string_view sql);
 
 }  // namespace rocks::sqldb

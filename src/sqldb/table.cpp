@@ -4,6 +4,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -27,9 +28,8 @@ Table::~Table() {
 }
 
 std::optional<std::size_t> Table::column_index(std::string_view name) const {
-  const std::string lowered = strings::to_lower(name);
   for (std::size_t i = 0; i < columns_.size(); ++i)
-    if (strings::to_lower(columns_[i].name) == lowered) return i;
+    if (strings::iequals(columns_[i].name, name)) return i;
   return std::nullopt;
 }
 
@@ -75,6 +75,7 @@ std::uint32_t Table::allocate_slot() {
     directory_storage_.push_back(std::move(grown));
     directory_.store(directory_storage_.back().get(), std::memory_order_seq_cst);
   }
+  slots_published_.store(slots_used_ + 1, std::memory_order_seq_cst);
   return static_cast<std::uint32_t>(slots_used_++);
 }
 
@@ -83,23 +84,32 @@ RowSlot& Table::slot_ref(std::uint32_t slot) const {
 }
 
 std::int64_t Table::next_auto_after(const Value& key, std::int64_t cursor) {
-  return key.is_null() ? cursor : std::max(cursor, key.as_int() + 1);
+  if (key.is_null() || cursor == kAutoExhausted) return cursor;
+  const std::int64_t taken = key.as_int();
+  if (taken == std::numeric_limits<std::int64_t>::max()) return kAutoExhausted;
+  return std::max(cursor, taken + 1);
 }
 
 std::size_t Table::insert(Row row) {
-  require_state(row.size() == columns_.size(),
-                strings::cat("insert into ", name_, ": row width ", row.size(),
-                             " != column count ", columns_.size()));
+  if (row.size() != columns_.size())
+    throw StateError(strings::cat("insert into ", name_, ": row width ", row.size(),
+                                  " != column count ", columns_.size()));
+  // Keys, coercion and the cursor are settled before anything changes: a
+  // throw leaves the table and its cursor as they were.
+  std::int64_t next_auto = next_auto_.load(std::memory_order_seq_cst);
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (columns_[i].auto_increment && row[i].is_null()) {
-      row[i] = Value(next_auto_.fetch_add(1, std::memory_order_seq_cst));
+      if (next_auto == kAutoExhausted)
+        throw StateError(strings::cat("insert into ", name_, ": AUTO_INCREMENT column ",
+                                      columns_[i].name, " has used every key"));
+      row[i] = Value(next_auto);
+      next_auto = next_auto_after(row[i], next_auto);
     } else {
       row[i] = coerce(row[i], columns_[i].type);
-      if (columns_[i].auto_increment)
-        next_auto_.store(next_auto_after(row[i], next_auto_.load(std::memory_order_seq_cst)),
-                         std::memory_order_seq_cst);
+      if (columns_[i].auto_increment) next_auto = next_auto_after(row[i], next_auto);
     }
   }
+  next_auto_.store(next_auto, std::memory_order_seq_cst);
   const std::uint32_t slot = allocate_slot();
   auto* version = new RowVersion;
   version->data = std::move(row);  // begin_ts stays kTsUncommitted until commit
@@ -453,10 +463,15 @@ Table::Stats Table::stats() const {
 }
 
 Table::Reader::Reader(const Table& table, std::uint64_t ts)
-    : table_(&table), ts_(ts), directory_(table.directory_.load(std::memory_order_seq_cst)) {}
+    : table_(&table),
+      ts_(ts),
+      directory_(table.directory_.load(std::memory_order_seq_cst)),
+      slots_(std::min(table.slots_published_.load(std::memory_order_seq_cst),
+                      directory_->capacity())) {}
 
 const Row* Table::Reader::visible(std::uint32_t slot) const {
-  if (slot >= directory_->capacity()) return nullptr;  // allocated after this view
+  // A slot allocated after this view holds no version committed at its ts.
+  if (slot >= slots_) return nullptr;
   RowVersion* v = directory_->slot(slot).head.load(std::memory_order_seq_cst);
   while (v != nullptr && v->begin_ts.load(std::memory_order_seq_cst) > ts_)
     v = v->older.load(std::memory_order_seq_cst);
@@ -468,8 +483,7 @@ const Row* Table::Reader::visible(std::uint32_t slot) const {
 std::vector<const Row*> Table::Reader::visible_rows() const {
   std::vector<const Row*> out;
   out.reserve(table_->live_count_.load(std::memory_order_relaxed));
-  const std::size_t capacity = directory_->capacity();
-  for (std::uint32_t slot = 0; slot < capacity; ++slot) {
+  for (std::uint32_t slot = 0; slot < slots_; ++slot) {
     const Row* row = visible(slot);
     if (row != nullptr) out.push_back(row);
   }

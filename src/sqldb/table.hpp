@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -76,7 +77,8 @@ class Table {
   /// assigned the next sequence value. Values are coerced to column types
   /// (int text -> int, etc.). The new version is uncommitted (invisible to
   /// every reader) until commit_pending() stamps it. Returns the row's
-  /// live position.
+  /// live position. Throws StateError, changing nothing, when the row does
+  /// not fit or the AUTO_INCREMENT keys are used up.
   std::size_t insert(Row row);
 
   /// Appends a snapshot row verbatim — no coercion, no AUTO_INCREMENT
@@ -153,14 +155,18 @@ class Table {
   }
 
   // --- durability hooks (DESIGN.md §11) ------------------------------------
-  /// The AUTO_INCREMENT sequence cursor. Snapshots persist it and recovery
-  /// restores it, because it is not derivable from the surviving rows (the
+  /// The AUTO_INCREMENT sequence cursor: the next key an INSERT that leaves
+  /// the column NULL is given. Snapshots persist it and recovery restores
+  /// it, because it is not derivable from the surviving rows (the
   /// highest-id row may have been deleted). Atomic so dump_state() can read
-  /// it without the table lock.
+  /// it without the table lock. kAutoExhausted stands for 2^63 (the cursor
+  /// stepped past INT64_MAX, the bits INT64_MAX + 1 wraps to): every key is
+  /// used, and the next automatic INSERT throws StateError.
   [[nodiscard]] std::int64_t next_auto() const {
     return next_auto_.load(std::memory_order_seq_cst);
   }
   void set_next_auto(std::int64_t next) { next_auto_.store(next, std::memory_order_seq_cst); }
+  static constexpr std::int64_t kAutoExhausted = std::numeric_limits<std::int64_t>::min();
 
   // --- observability (cluster-status --engine, bench_mvcc) -----------------
   struct Stats {
@@ -209,6 +215,7 @@ class Table {
     const Table* table_;
     std::uint64_t ts_;
     const SlotDirectory* directory_;  // the snapshot this view iterates
+    std::size_t slots_;  // slots allocated when the view was taken; later ones are invisible
   };
   [[nodiscard]] Reader reader(std::uint64_t ts) const { return Reader(*this, ts); }
 
@@ -258,6 +265,9 @@ class Table {
   std::vector<std::unique_ptr<const SlotDirectory>> directory_storage_;
   std::atomic<const SlotDirectory*> directory_{nullptr};
   std::size_t slots_used_ = 0;
+  // slots_used_ published for readers: their scans stop here instead of at
+  // the directory's capacity (a 6-row table holds a 256-slot chunk).
+  std::atomic<std::size_t> slots_published_{0};
 
   std::vector<std::uint32_t> live_;  // position -> slot, writer-side
   std::atomic<std::size_t> live_count_{0};

@@ -1,7 +1,6 @@
 #include "sqldb/value.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <string_view>
 
@@ -129,30 +128,6 @@ int Value::compare(const Value& other) const {
   }
   if (a_num != b_num) return a_num ? -1 : 1;  // numbers before text
   return three_way(as_text().compare(other.as_text()), 0);
-}
-
-std::string sql_text(std::string_view text) {
-  std::string out = "'";
-  for (char c : text) {
-    out += c;
-    if (c == '\'') out += c;  // doubled-quote escape
-  }
-  out += '\'';
-  return out;
-}
-
-std::string sql_literal(const Value& value) {
-  switch (value.type()) {
-    case Type::kReal: return sql_real(value.as_real());
-    case Type::kText: return sql_text(value.as_text());
-    default: return value.to_string();  // NULL, INT
-  }
-}
-
-std::string sql_real(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
 }
 
 }  // namespace rocks::sqldb

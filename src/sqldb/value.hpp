@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 namespace rocks::sqldb {
 
@@ -23,6 +24,7 @@ class Value {
   Value(double v) : data_(v) {}                  // NOLINT(google-explicit-constructor)
   Value(std::string v) : data_(std::move(v)) {}  // NOLINT(google-explicit-constructor)
   Value(const char* v) : data_(std::string(v)) {}  // NOLINT(google-explicit-constructor)
+  Value(std::string_view v) : data_(std::string(v)) {}  // NOLINT(google-explicit-constructor)
 
   [[nodiscard]] static Value null() { return Value(); }
 
@@ -66,17 +68,7 @@ struct ValueEqual {
   bool operator()(const Value& a, const Value& b) const { return a.compare(b) == 0; }
 };
 
-/// SQL TEXT literal for splicing into a statement: single-quoted, with each
-/// embedded quote doubled ("it's" -> 'it''s'), so the lexer hands back the
-/// original text verbatim.
-[[nodiscard]] std::string sql_text(std::string_view text);
-
-/// SQL literal that reads back as `value`: NULL, an INT, sql_real() or
-/// sql_text(). Re-fetching a row by a key of any type splices it with this.
-[[nodiscard]] std::string sql_literal(const Value& value);
-
-/// Round-trippable SQL REAL literal (%.17g): a value read back from a
-/// recovered row compares equal to the one that was written.
-[[nodiscard]] std::string sql_real(double value);
+/// One row of a table or a result: a value per column.
+using Row = std::vector<Value>;
 
 }  // namespace rocks::sqldb

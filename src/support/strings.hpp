@@ -24,6 +24,9 @@ namespace rocks::strings {
 /// ASCII lower-casing (locale independent).
 [[nodiscard]] std::string to_lower(std::string_view text);
 
+/// ASCII case-insensitive equality; allocates nothing.
+[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
+
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 [[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix);
 

@@ -204,9 +204,9 @@ class RegistrationChurn {
       case 3: {  // the same MAC in capitals: a different text that parses alike
         std::string mac = any_mac_text();
         for (char& c : mac) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-        return sqldb::sql_text(mac);
+        return cat("'", mac, "'");  // MAC text holds no quote
       }
-      default: return sqldb::sql_text(any_mac_text());  // a duplicate MAC
+      default: return cat("'", any_mac_text(), "'");  // a duplicate MAC
     }
   }
 

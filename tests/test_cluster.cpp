@@ -370,6 +370,38 @@ TEST_F(ClusterTest, UserAccountsSyncOverNis) {
   EXPECT_EQ(fe.services().restarts("pbs"), pbs_before);
 }
 
+TEST_F(ClusterTest, AddUserStoresNamesVerbatimAndRejectsPathNames) {
+  Cluster cluster(small_config());
+  auto& fe = cluster.frontend();
+  const auto users = [&fe] {
+    return fe.db().execute("SELECT name, uid, home, shell FROM users ORDER BY uid");
+  };
+  fe.add_user("o'brien", 503);
+  // Looks like an injection but holds no '/': a bound value, stored as is.
+  const std::string quoted = "eve', 0, 'x', 'y'), ('x";
+  fe.add_user(quoted, 504);
+  auto rows = users();
+  ASSERT_EQ(rows.row_count(), 3u);  // root, o'brien, the quoted name
+  EXPECT_EQ(rows.rows[1][0].as_text(), "o'brien");
+  EXPECT_EQ(rows.rows[1][2].as_text(), "/export/home/o'brien");
+  EXPECT_EQ(rows.rows[2][0].as_text(), quoted);
+  EXPECT_EQ(rows.rows[2][1].as_int(), 504);
+  EXPECT_TRUE(fe.fs().is_directory("/export/home/o'brien"));
+
+  // The spliced statement of old made this a uid-0 user with home '/'.
+  const std::string injection = "eve', 0, '/', '/bin/sh'), ('x";
+  for (const std::string& name : {injection, std::string(), std::string("a/b"),
+                                  std::string("nul\0x", 5)})
+    EXPECT_THROW(fe.add_user(name, 505), Error) << name;
+  rows = users();
+  EXPECT_EQ(rows.row_count(), 3u);
+  for (const auto& row : rows.rows) EXPECT_NE(row[0].as_text(), "eve");
+  EXPECT_EQ(fe.db().execute("SELECT name FROM users WHERE uid = 0").row_count(), 1u);
+  EXPECT_FALSE(fe.fs().exists("/export/home/eve', 0, '"));
+  EXPECT_FALSE(fe.fs().exists("/export/home/a"));
+  EXPECT_FALSE(fe.fs().exists("/export/home/nul"));
+}
+
 TEST_F(ClusterTest, MultiArchClusterFromOneGraph) {
   // Section 6.1: "one XML graph file supports the dynamic kickstart file
   // generation for three processor types (IA-32, Athlon and IA-64)".

@@ -259,6 +259,57 @@ TEST(DatabaseConcurrency, PreparedStatementCacheSharedAcrossThreads) {
   EXPECT_EQ(db.statement_cache_size(), 3u);
 }
 
+/// Threads execute one shared prepared statement — SELECT and INSERT, with
+/// bound values — while another thread drops and recreates its table with
+/// a different column order. Each execute must either see a table (and
+/// read the right column of it, whichever schema it bound to) or fail
+/// with LookupError; the rebind must never mix two schemas.
+TEST(DatabaseConcurrency, SharedPreparedStatementRebindsAcrossDropAndCreate) {
+  sqldb::Database db;
+  db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)");
+  db.execute("INSERT INTO t VALUES (1, 'one')");
+  const sqldb::Database::PreparedStatement select = db.prepare("SELECT name FROM t WHERE id = ?");
+  const sqldb::Database::PreparedStatement insert =
+      db.prepare("INSERT INTO t (id, name) VALUES (?, ?)");
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> wrong{0}, served{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads - 1; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t op = 0; !done.load() || op < 200; ++op) {
+        try {
+          if (op % 8 == 0) {
+            db.execute(*insert, {static_cast<std::int64_t>(1000 + t * kOpsPerThread + op), "x"});
+            continue;
+          }
+          const sqldb::ResultSet rows = db.execute(*select, {1});
+          if (rows.row_count() > 1 || rows.columns != std::vector<std::string>{"name"} ||
+              (rows.row_count() == 1 && rows.rows[0][0].to_string() != "one"))
+            ++wrong;
+          served += rows.row_count();
+        } catch (const LookupError&) {
+          // The table was gone at this execute's timestamp.
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < 100; ++round) {
+      db.execute("DROP TABLE t");
+      if (round % 2 == 0)
+        db.execute("CREATE TABLE t (name TEXT, id INT PRIMARY KEY)");
+      else
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)");
+      db.execute("INSERT INTO t (id, name) VALUES (1, 'one')");
+    }
+    done = true;
+  });
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(served.load(), 0u);
+  EXPECT_EQ(db.execute(*select, {1}).rows.at(0).at(0).as_text(), "one");
+}
+
 /// Concurrent generate() against concurrent mark_stale(): readers
 /// must always get a profile that is byte-identical to a cold build
 /// (snapshot semantics — a flush never mutates a profile mid-render).

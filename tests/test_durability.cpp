@@ -13,7 +13,12 @@
 #include <thread>
 #include <vector>
 
+#include "batch/scheduler.hpp"
 #include "cluster/cluster.hpp"
+#include "events/bus.hpp"
+#include "events/trigger.hpp"
+#include "kickstart/server.hpp"
+#include "netsim/engine.hpp"
 #include "services/manager.hpp"
 #include "sqldb/engine.hpp"
 #include "sqldb/snapshot.hpp"
@@ -304,6 +309,28 @@ TEST_F(DurabilityTest, AutoIncrementCursorSurvivesDeletedMax) {
   const auto rows = recovered.execute("SELECT id FROM t ORDER BY id");
   ASSERT_EQ(rows.row_count(), 3u);
   EXPECT_EQ(rows.rows[2][0].as_int(), 4);  // no id reuse
+}
+
+TEST_F(DurabilityTest, ExhaustedAutoIncrementStaysExhaustedAfterRecovery) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const bool snapshot : {false, true}) {
+    vfs::FileSystem disk;
+    std::string expected;
+    {
+      Database db;
+      db.open_durable(disk, kDir);
+      db.execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v TEXT)");
+      db.execute("INSERT INTO t (id, v) VALUES (?, 'max')", {kMax});
+      EXPECT_THROW(db.execute("INSERT INTO t (v) VALUES ('past')"), StateError);
+      if (snapshot) db.snapshot();
+      expected = db.dump_state();
+    }
+    Database recovered;
+    recovered.open_durable(disk, kDir);  // WAL replay, or the snapshot's cursor
+    EXPECT_EQ(recovered.dump_state(), expected) << snapshot;
+    EXPECT_THROW(recovered.execute("INSERT INTO t (v) VALUES ('past')"), StateError) << snapshot;
+    EXPECT_EQ(recovered.execute("SELECT v FROM t").row_count(), 1u) << snapshot;
+  }
 }
 
 TEST_F(DurabilityTest, UncoercedUpdateValuesSurviveSnapshotVerbatim) {
@@ -729,6 +756,74 @@ cluster::ClusterConfig durable_config(vfs::FileSystem& state) {
   config.synth.filler_packages = 20;
   config.frontend.state_fs = &state;
   return config;
+}
+
+TEST_F(DurabilityTest, HardTextRoundTripsThroughEveryBoundWritePath) {
+  // Text that spliced SQL corrupted or refused: quotes, a backslash before
+  // a letter or a quote, a trailing backslash, an embedded NUL, 64 KiB.
+  const std::vector<std::string> hard = {
+      "o'brien", "a\\nb", "x\\'y", "C:\\", "''\\", std::string("nul\0in", 6),
+      std::string(64 * 1024, 'k') + "\\'",
+  };
+  const auto user_name = [](const std::string& text, std::size_t i) {
+    return text.find('\0') == std::string::npos ? text : strings::cat("user", i);
+  };
+  const auto check = [&](sqldb::Database& db, const char* when) {
+    for (std::size_t i = 0; i < hard.size(); ++i) {
+      const std::string& text = hard[i];
+      const auto id = static_cast<std::int64_t>(i + 1);
+      const auto job = db.execute("SELECT name FROM sched_jobs WHERE id = ?", {id});
+      ASSERT_EQ(job.row_count(), 1u) << when << i;
+      EXPECT_EQ(job.rows[0][0].as_text(), text) << when << i;
+      const auto ledger = db.execute(
+          "SELECT name, reason FROM sched_accounting WHERE id = ?", {id + 100});
+      ASSERT_EQ(ledger.row_count(), 1u) << when << i;
+      EXPECT_EQ(ledger.rows[0][0].as_text(), text) << when << i;
+      EXPECT_EQ(ledger.rows[0][1].as_text(), text) << when << i;
+      const auto trigger =
+          db.execute("SELECT subject, detail, arg FROM triggers WHERE name = ?", {text});
+      ASSERT_EQ(trigger.row_count(), 1u) << when << i;
+      for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(trigger.rows[0][c].as_text(), text) << when;
+      const auto node = db.execute("SELECT comment FROM nodes WHERE name = ?", {text});
+      ASSERT_EQ(node.row_count(), 1u) << when << i;
+      EXPECT_EQ(node.rows[0][0].as_text(), text) << when << i;
+      const auto user =
+          db.execute("SELECT shell, home FROM users WHERE name = ?", {user_name(text, i)});
+      ASSERT_EQ(user.row_count(), 1u) << when << i;
+      EXPECT_EQ(user.rows[0][0].as_text(), text) << when << i;
+      EXPECT_EQ(user.rows[0][1].as_text(), "/export/home/" + user_name(text, i)) << when;
+    }
+  };
+  vfs::FileSystem state;
+  std::string live;
+  {
+    cluster::Cluster cluster(durable_config(state));
+    sqldb::Database& db = cluster.frontend().db();
+    netsim::Simulator sim;
+    batch::Scheduler scheduler(db, sim);  // no nodes: every job stays queued
+    events::EventBus bus;
+    events::TriggerEngine triggers(db, bus);
+    for (std::size_t i = 0; i < hard.size(); ++i) {
+      const std::string& text = hard[i];
+      EXPECT_EQ(scheduler.submit(batch::JobSpec{.name = text}), i + 1);
+      batch::AccountingRecord record;
+      record.id = i + 101;
+      record.name = record.reason = text;
+      batch::Accounting::append(db, record);
+      triggers.add(events::TriggerSpec{.name = text, .subject = text, .detail = text,
+                                       .arg = text});
+      kickstart::insert_node_row(db, strings::cat("00:16:3e:00:00:", 10 + i), text, 2, 9,
+                                 static_cast<int>(i), strings::cat("10.9.9.", 10 + i), "i386",
+                                 text);
+      cluster.frontend().add_user(user_name(text, i), static_cast<int>(600 + i), text);
+    }
+    check(db, "live ");
+    live = db.dump_state();
+  }
+  cluster::Cluster recovered(durable_config(state));
+  ASSERT_TRUE(recovered.frontend().recovered());
+  check(recovered.frontend().db(), "recovered ");
+  EXPECT_EQ(recovered.frontend().db().dump_state(), live);
 }
 
 TEST_F(DurabilityTest, TextRankUpdateNoLongerBlocksInsertEthers) {

@@ -421,9 +421,8 @@ TEST_F(ServerTest, SchemaSeedsPaperTableIII) {
 }
 
 TEST_F(ServerTest, InsertNodeRowReadsQuotedTextBackVerbatim) {
-  // Quote-free text is spliced unchanged, so existing WAL text is stable...
-  EXPECT_EQ(sqldb::sql_text("compute-0-1"), "'compute-0-1'");
-  // ...and a site comment carrying quotes no longer breaks the INSERT.
+  // A site comment carrying quotes is a bound value: it cannot break the
+  // INSERT.
   const std::string comment = "o'brien's rack, ''spare'' PSU";
   insert_node_row(db_, "00:50:8b:e0:3a:a8", "compute-0-1", 2, 0, 1, "10.255.255.252", "i386",
                   comment);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sqldb/engine.hpp"
@@ -299,20 +301,26 @@ TEST_F(DbTest, InListWithNullNeedleNeverMatches) {
 
 // --- query planner: indexes, hash joins, and A/B equivalence ---------------
 
-/// Runs `sql` with the planner on and off and requires bit-identical
-/// ResultSets (columns, row order, and every Value).
-void expect_planner_matches_scan(Database& db, std::string_view sql) {
+/// Requires bit-identical ResultSets (columns, row order, every Value).
+void expect_same_result(const ResultSet& a, const ResultSet& b, std::string_view what) {
+  ASSERT_EQ(a.columns, b.columns) << what;
+  ASSERT_EQ(a.row_count(), b.row_count()) << what;
+  for (std::size_t i = 0; i < a.row_count(); ++i)
+    for (std::size_t j = 0; j < a.columns.size(); ++j)
+      EXPECT_EQ(a.rows[i][j].compare(b.rows[i][j]), 0)
+          << what << " differs at row " << i << " column " << j;
+}
+
+/// Runs `sql` (with `params` bound to its placeholders) with the planner on
+/// and off and requires bit-identical ResultSets.
+void expect_planner_matches_scan(Database& db, std::string_view sql,
+                                 std::span<const Value> params = {}) {
   db.set_planner_enabled(true);
-  const ResultSet planned = db.execute(sql);
+  const ResultSet planned = db.execute(sql, params);
   db.set_planner_enabled(false);
-  const ResultSet scanned = db.execute(sql);
+  const ResultSet scanned = db.execute(sql, params);
   db.set_planner_enabled(true);
-  ASSERT_EQ(planned.columns, scanned.columns) << sql;
-  ASSERT_EQ(planned.row_count(), scanned.row_count()) << sql;
-  for (std::size_t i = 0; i < planned.row_count(); ++i)
-    for (std::size_t j = 0; j < planned.columns.size(); ++j)
-      EXPECT_EQ(planned.rows[i][j].compare(scanned.rows[i][j]), 0)
-          << sql << " differs at row " << i << " column " << j;
+  expect_same_result(planned, scanned, sql);
 }
 
 class PlannerTest : public DbTest {
@@ -361,6 +369,80 @@ TEST_F(PlannerTest, IndexedAndScannedResultsIdenticalAcrossCorpus) {
            "nodes.membership = memberships.id AND x.rank = 0 AND nodes.rack = 0",
        })
     expect_planner_matches_scan(db, sql);
+}
+
+TEST_F(PlannerTest, BoundCorpusMatchesLiteralCorpus) {
+  // Each shape the planner consumes a literal from, with the literal as a
+  // `?`: the bound form must plan and answer exactly like the literal one.
+  struct Case {
+    const char* literal;
+    const char* bound;
+    std::vector<Value> params;
+  };
+  const std::vector<Case> corpus = {
+      {"SELECT name FROM nodes WHERE ip = '10.255.255.245'",
+       "SELECT name FROM nodes WHERE ip = ?", {"10.255.255.245"}},
+      {"SELECT name FROM nodes WHERE membership = 2 AND rank > 1",
+       "SELECT name FROM nodes WHERE membership = ? AND rank > ?", {2, 1}},
+      {"SELECT name FROM nodes WHERE 2 = membership", "SELECT name FROM nodes WHERE ? = membership",
+       {2}},
+      {"SELECT name FROM nodes WHERE membership = 99", "SELECT name FROM nodes WHERE membership = ?",
+       {99}},
+      {"SELECT * FROM nodes WHERE mac = '00:50:8b:e0:40:95'", "SELECT * FROM nodes WHERE mac = ?",
+       {"00:50:8b:e0:40:95"}},
+      {"SELECT name FROM nodes WHERE membership = 2 ORDER BY rank DESC LIMIT 2",
+       "SELECT name FROM nodes WHERE membership = ? ORDER BY rank DESC LIMIT 2", {2}},
+      {"SELECT name FROM nodes WHERE membership = NULL",
+       "SELECT name FROM nodes WHERE membership = ?", {Value::null()}},
+      {"SELECT name FROM nodes WHERE rank >= 2", "SELECT name FROM nodes WHERE rank >= ?", {2}},
+      {"SELECT name FROM nodes WHERE name LIKE 'compute-%'",
+       "SELECT name FROM nodes WHERE name LIKE ?", {"compute-%"}},
+      {"SELECT name FROM nodes WHERE rack IN (1, 7)", "SELECT name FROM nodes WHERE rack IN (?, ?)",
+       {1, 7}},
+      {"SELECT memberships.name FROM nodes, memberships WHERE "
+       "nodes.membership = memberships.id AND nodes.ip = '10.255.255.245'",
+       "SELECT memberships.name FROM nodes, memberships WHERE "
+       "nodes.membership = memberships.id AND nodes.ip = ?",
+       {"10.255.255.245"}},
+      {"SELECT nodes.name FROM memberships, nodes WHERE "
+       "nodes.membership = memberships.id AND nodes.mac = '00:50:8b:e0:3a:a7'",
+       "SELECT nodes.name FROM memberships, nodes WHERE "
+       "nodes.membership = memberships.id AND nodes.mac = ?",
+       {"00:50:8b:e0:3a:a7"}},
+      {"select n.name from nodes n, memberships m where n.membership = m.id and "
+       "m.compute = 'yes'",
+       "select n.name from nodes n, memberships m where n.membership = m.id and m.compute = ?",
+       {"yes"}},
+      {"SELECT rank + 1, name FROM nodes WHERE rack = 0 ORDER BY rank",
+       "SELECT rank + ?, name FROM nodes WHERE rack = ? ORDER BY rank", {1, 0}},
+  };
+  for (const Case& c : corpus) {
+    expect_planner_matches_scan(db, c.bound, c.params);
+    db.reset_stats();
+    const ResultSet literal = db.execute(c.literal);
+    const auto literal_plans = std::make_tuple(db.plans_index_probe(), db.plans_index_join(),
+                                               db.plans_hash_join(), db.plans_scan());
+    db.reset_stats();
+    const ResultSet bound = db.execute(c.bound, c.params);
+    EXPECT_EQ(literal_plans, std::make_tuple(db.plans_index_probe(), db.plans_index_join(),
+                                             db.plans_hash_join(), db.plans_scan()))
+        << c.bound;
+    // Output headers name the placeholder, not the literal; rows must match.
+    ASSERT_EQ(literal.row_count(), bound.row_count()) << c.bound;
+    for (std::size_t i = 0; i < literal.row_count(); ++i)
+      for (std::size_t j = 0; j < literal.rows[i].size(); ++j)
+        EXPECT_EQ(literal.rows[i][j].compare(bound.rows[i][j]), 0) << c.bound;
+  }
+}
+
+TEST_F(PlannerTest, BoundWritesProbeTheIndexLikeLiterals) {
+  db.reset_stats();
+  db.execute("UPDATE nodes SET comment = ? WHERE ip = ?", {"moved", "10.255.255.245"});
+  db.execute("DELETE FROM nodes WHERE mac = ?", {"00:50:8b:e0:40:93"});
+  EXPECT_EQ(db.plans_index_probe(), 2u);
+  EXPECT_EQ(db.query_column("SELECT comment FROM nodes WHERE name = 'compute-0-0'"),
+            std::vector<std::string>{"moved"});
+  EXPECT_EQ(db.execute("SELECT name FROM nodes").row_count(), 7u);
 }
 
 TEST_F(PlannerTest, EqualityOnIndexedColumnUsesIndexProbe) {
@@ -680,6 +762,27 @@ TEST_F(DbTest, TableIndexUnitBehaviour) {
   EXPECT_THROW((void)reader.probe_rows(*nodes.column_index("comment"), Value("x")), StateError);
 }
 
+TEST_F(DbTest, ReaderScansOnlyTheSlotsAllocatedBeforeIt) {
+  // memberships holds 6 rows in a 256-slot chunk: a view enumerates those
+  // 6, and rows inserted after it was taken stay invisible to it.
+  load_paper_tables();
+  const Table& memberships = db.table("memberships");
+  const std::uint64_t before_ts = db.mvcc_status().commit_ts;
+  const auto before = memberships.reader(before_ts);
+  EXPECT_EQ(before.visible_rows().size(), 6u);
+  db.execute("INSERT INTO memberships (name) VALUES ('late')");
+  db.execute("DELETE FROM memberships WHERE id = 1");
+  const auto rows = before.visible_rows();
+  ASSERT_EQ(rows.size(), 6u);
+  EXPECT_EQ((*rows[0])[1].as_text(), "Frontend");
+  EXPECT_EQ(before.visible(6), nullptr);  // the late row's slot
+  const auto after = memberships.reader(db.mvcc_status().commit_ts);
+  const auto now = after.visible_rows();
+  ASSERT_EQ(now.size(), 6u);
+  EXPECT_EQ((*now.back())[1].as_text(), "late");
+  EXPECT_EQ(memberships.stats().slots, 7u);
+}
+
 // --- prepared statements and the LRU cache ----------------------------------
 
 TEST_F(DbTest, StatementCacheHitsOnRepeatedSql) {
@@ -713,6 +816,95 @@ TEST_F(DbTest, PreparedStatementSurvivesDropAndRecreate) {
   EXPECT_EQ(db.execute(*stmt).row_count(), 1u);
 }
 
+TEST_F(DbTest, PreparedStatementRebindsToTheRecreatedSchema) {
+  load_paper_tables();
+  const Database::PreparedStatement stmt = db.prepare("SELECT * FROM nodes WHERE name = ?");
+  ASSERT_EQ(db.execute(*stmt, {"web-1-0"}).rows.at(0).at(2).as_text(), "web-1-0");
+  db.execute("DROP TABLE nodes");
+  db.execute("CREATE TABLE nodes (name TEXT, rack INT)");  // other columns, other order
+  db.execute("INSERT INTO nodes VALUES ('solo', 3)");
+  const ResultSet rows = db.execute(*stmt, {"solo"});
+  EXPECT_EQ(rows.columns, (std::vector<std::string>{"name", "rack"}));
+  ASSERT_EQ(rows.row_count(), 1u);
+  EXPECT_EQ(rows.rows[0][1].as_int(), 3);
+  db.execute("DROP TABLE nodes");
+  db.execute("CREATE TABLE nodes (id INT)");  // no name column: the rebind fails
+  EXPECT_THROW(db.execute(*stmt, {"solo"}), LookupError);
+}
+
+TEST_F(DbTest, PlaceholdersBindValuesInTextOrder) {
+  db.execute("INSERT INTO nodes (name, rack, rank, comment) VALUES (?, ?, ?, ?)",
+             {"a'b", 1, 2, Value::null()});
+  db.execute("INSERT INTO nodes (name, rack) VALUES (?, ? + 1)", {"c", 4});
+  db.execute("UPDATE nodes SET rank = ? WHERE name = ?", {9, "c"});
+  const ResultSet rows = db.execute("SELECT name, rack, rank, comment FROM nodes WHERE rack < ?",
+                                    {std::int64_t{10}});
+  ASSERT_EQ(rows.row_count(), 2u);
+  EXPECT_EQ(rows.rows[0][0].as_text(), "a'b");
+  EXPECT_TRUE(rows.rows[0][3].is_null());
+  EXPECT_EQ(rows.rows[1][1].as_int(), 5);
+  EXPECT_EQ(rows.rows[1][2].as_int(), 9);
+  EXPECT_EQ(db.execute("DELETE FROM nodes WHERE rank = ?", {2}).affected_rows, 1u);
+  EXPECT_EQ(db.prepare("SELECT name FROM nodes WHERE rack = ? AND rank = ?")->param_count(), 2u);
+}
+
+TEST_F(DbTest, WrongParameterCountThrowsBeforeAnythingChanges) {
+  const auto revision = db.revision("nodes");
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name, rack) VALUES (?, ?)", {"x"}), StateError);
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name) VALUES (?)", {"x", "y"}), StateError);
+  EXPECT_THROW(db.execute("UPDATE nodes SET rack = ?"), StateError);
+  EXPECT_THROW(db.execute("SELECT name FROM nodes WHERE rack = ?"), StateError);
+  EXPECT_THROW(db.read_view().execute("SELECT name FROM nodes WHERE rack = ?"), StateError);
+  EXPECT_EQ(db.execute("SELECT name FROM nodes").row_count(), 0u);
+  EXPECT_EQ(db.revision("nodes"), revision);
+  EXPECT_EQ(db.exclusive_lock_acquisitions(), 2u);  // the fixture's two CREATE TABLEs
+}
+
+TEST_F(DbTest, InsertValuesReferenceNoColumnAndCountsAreCheckedFirst) {
+  // Binding rejects the statement before its first row lands.
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name) VALUES ('a'), (name)"), LookupError);
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name, rack) VALUES ('a', 1), ('b')"), StateError);
+  EXPECT_EQ(db.execute("SELECT name FROM nodes").row_count(), 0u);
+}
+
+TEST_F(DbTest, InsertRowsRunsOneInsertPerGroupAsOneStatement) {
+  const Database::PreparedStatement insert =
+      db.prepare("INSERT INTO nodes (name, rack) VALUES (?, ?)");
+  const std::vector<Value> rows = {"a", 1, "b", 2, "c", 3};
+  const auto revision = db.revision("nodes");
+  int notified = 0;
+  const auto subscription = db.journal().subscribe("nodes", [&](std::string_view, std::uint64_t) { ++notified; });
+  EXPECT_EQ(db.insert_rows(*insert, rows).affected_rows, 3u);
+  db.journal().unsubscribe(subscription);
+  EXPECT_EQ(notified, 1);  // one statement, one notification
+  EXPECT_EQ(db.revision("nodes"), revision + 3);
+  EXPECT_EQ(db.query_column("SELECT name FROM nodes WHERE rack > 1"),
+            (std::vector<std::string>{"b", "c"}));
+  EXPECT_THROW(db.insert_rows(*insert, std::span<const Value>(rows).first(3)), StateError);
+  EXPECT_THROW(db.insert_rows(*db.prepare("SELECT name FROM nodes WHERE rack = ?"), rows),
+               StateError);
+  EXPECT_EQ(db.execute("SELECT name FROM nodes").row_count(), 3u);
+}
+
+TEST_F(DbTest, BoundTextIsStoredVerbatim) {
+  // Values that no quoting helper could splice safely: a backslash before
+  // a letter or a quote, a trailing backslash, quotes, an embedded NUL, and
+  // 64 KiB of text.
+  const std::vector<std::string> values = {
+      "a\\nb", "C:\\", "x\\'y", "it's", "''", std::string("nul\0in", 6),
+      std::string(64 * 1024, 'k') + "\\'",
+  };
+  for (const std::string& value : values)
+    db.execute("INSERT INTO nodes (name, comment) VALUES (?, ?)", {value, value});
+  const ResultSet rows = db.execute("SELECT name, comment FROM nodes ORDER BY id");
+  ASSERT_EQ(rows.row_count(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(rows.rows[i][0].as_text(), values[i]);
+    EXPECT_EQ(rows.rows[i][1].as_text(), values[i]);
+    EXPECT_EQ(db.execute("SELECT id FROM nodes WHERE name = ?", {values[i]}).row_count(), 1u);
+  }
+}
+
 TEST_F(DbTest, StatementCacheEvictsLeastRecentlyUsed) {
   load_paper_tables();
   db.execute("SELECT name FROM nodes WHERE rank = -1");
@@ -732,6 +924,34 @@ TEST_F(DbTest, StatementCacheKeyIsExactText) {
   db.execute("SELECT name FROM nodes WHERE rack = 1");
   db.execute("select name from nodes where rack = 1");  // different text, new entry
   EXPECT_EQ(db.statement_cache_misses(), misses_before + 2);
+}
+
+// --- AUTO_INCREMENT's end ------------------------------------------------------
+
+TEST_F(DbTest, AutoIncrementPastInt64MaxFailsTheInsert) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  db.execute("INSERT INTO nodes (id, name) VALUES (?, 'max')", {kMax - 1});
+  db.execute("INSERT INTO nodes (name) VALUES ('last')");  // takes INT64_MAX itself
+  EXPECT_EQ(db.query_column("SELECT id FROM nodes WHERE name = 'last'"),
+            std::vector<std::string>{std::to_string(kMax)});
+  const auto revision = db.revision("nodes");
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name) VALUES ('past')"), StateError);
+  EXPECT_EQ(db.revision("nodes"), revision);
+  EXPECT_EQ(db.execute("SELECT name FROM nodes").row_count(), 2u);
+  // A key given by hand still goes in; the cursor stays at its end.
+  db.execute("INSERT INTO nodes (id, name) VALUES (5, 'hand')");
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name) VALUES ('past')"), StateError);
+  EXPECT_EQ(db.table("nodes").next_auto(), Table::kAutoExhausted);
+}
+
+TEST_F(DbTest, AutoIncrementKeySetToInt64MaxByHandEndsTheSequence) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  db.execute("INSERT INTO memberships (id, name) VALUES (?, 'max')", {kMax});
+  EXPECT_THROW(db.execute("INSERT INTO memberships (name) VALUES ('next')"), StateError);
+  // An UPDATE that sets the key by hand ends it the same way.
+  db.execute("INSERT INTO nodes (name) VALUES ('a')");
+  db.execute("UPDATE nodes SET id = ? WHERE name = 'a'", {kMax});
+  EXPECT_THROW(db.execute("INSERT INTO nodes (name) VALUES ('b')"), StateError);
 }
 
 // --- the change journal (DESIGN.md §10) -------------------------------------

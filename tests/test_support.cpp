@@ -41,6 +41,14 @@ TEST(Strings, SplitWs) {
   EXPECT_TRUE(split_ws("").empty());
 }
 
+TEST(Strings, IEqualsComparesAsciiCaseInsensitively) {
+  EXPECT_TRUE(strings::iequals("Nodes", "nODES"));
+  EXPECT_TRUE(strings::iequals("", ""));
+  EXPECT_FALSE(strings::iequals("nodes", "node"));
+  EXPECT_FALSE(strings::iequals("a_b", "a-b"));
+  EXPECT_TRUE(strings::iequals("graph_root", "GRAPH_ROOT"));
+}
+
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  hi  "), "hi");
   EXPECT_EQ(trim("hi"), "hi");
